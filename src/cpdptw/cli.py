@@ -16,7 +16,7 @@ Scenario keys (all optional unless noted): ``seed`` (required in a file),
 ``fleet`` (path to a YAML with a fleet section, or ``{n_uav, n_adr}``),
 ``adjacency`` (zeta/mu/rho), ``physics`` (uav/adr/wind/wind_formula/
 payload_kg_per_unit), ``weights`` (cost weights), ``solver``
-(choice/max_nodes/time_budget/gap_target), ``strategy``, ``scorer``
+(choice/max_nodes/time_budget), ``strategy``, ``scorer``
 (``greedy`` or a weights file), ``out``.
 """
 
@@ -43,6 +43,8 @@ from .energy import AdrParams, PhysicsConfig, UavParams, WindState
 from .network import AdjacencySpec, build_networks
 
 LOG = logging.getLogger("cpdptw")
+
+SOLVER_KEYS = ("choice", "max_nodes", "time_budget")
 
 WIND_PRESETS = {
     "none": {"model": "none", "speed": 0.0, "course": 0.0},
@@ -95,6 +97,11 @@ def load_scenario(path):
     if isinstance(solver_cfg, str):
         scn["solver"] = {"choice": solver_cfg}
     if isinstance(scn.get("solver"), dict):
+        unknown = sorted(set(scn["solver"]) - set(SOLVER_KEYS))
+        if unknown:
+            raise ValueError(
+                f"scenario {path}: unknown solver key(s) {unknown}; "
+                f"expected {'|'.join(SOLVER_KEYS)}")
         choice = scn["solver"].get("choice")
         if choice is not None and choice not in ("exact", "heuristic", "both"):
             raise ValueError(
@@ -188,7 +195,7 @@ def _apply_cost_weights(scn, inst):
 def _prepare(args, *, need_networks=True):
     scn, seed, out_dir = _resolve(args)
     _setup_logging(out_dir)
-    LOG.info("seed=%d threads=%s", seed, args.threads)
+    LOG.info("seed=%d", seed)
     inst, fleet_preset = _build_instance(scn, seed)
     _apply_cost_weights(scn, inst)
     fleet = _build_fleet(scn, inst, fleet_preset)
@@ -255,15 +262,15 @@ def _solver_limits(scn):
     cfg = scn.get("solver", {}) or {}
     return solver_mod.SolverLimits(
         max_nodes_expanded=cfg.get("max_nodes"),
-        time_budget=cfg.get("time_budget"),
-        optimality_gap_target=float(cfg.get("gap_target", 0.0)))
+        time_budget=cfg.get("time_budget"))
 
 
 def cmd_solve(args):
     scn, seed, out_dir, inst, fleet, physics, nets = _prepare(args)
     choice = args.solver or (scn.get("solver", {}) or {}).get("choice")
     if choice is None:
-        choice = "both" if 2 * inst.n_customers <= 10 else "heuristic"
+        choice = "both" if 2 * inst.n_customers <= solver_mod.EXACT_NODE_LIMIT \
+            else "heuristic"
         LOG.info("solver choice defaulted to %s", choice)
     limits = _solver_limits(scn)
     out = _ensure_out(out_dir)
@@ -357,9 +364,6 @@ def build_parser():
                         help="scenario YAML driving the run")
     common.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed (default 0 bare)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker budget; execution is deterministic and "
-                             "output-identical for any value")
     common.add_argument("--solver", choices=["exact", "heuristic", "both"],
                         default=None, help="which solver(s) to run")
     common.add_argument("--strategy",

@@ -34,10 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from .instance import FleetSpec
-from .solver import solve_exact, solve_heuristic
-
-# exact search is affordable up to this many customer nodes (2N)
-EXACT_NODE_LIMIT = 10
+from .solver import EXACT_NODE_LIMIT, solve_exact, solve_heuristic
 
 
 @dataclass(frozen=True)

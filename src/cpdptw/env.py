@@ -48,6 +48,9 @@ class LegCosts:
     and on the half-speed depot-run flag.  Legs follow the cached shortest
     path of the mode's graph, so blocked aerial pairs are priced along their
     detour, edge by edge (each edge carries its own wind heading).
+
+    Also holds the flat per-node tables (demand, windows) that ``advance``
+    reads, so the transition skips instance method calls.
     """
 
     def __init__(self, inst, nets, physics):
@@ -56,6 +59,12 @@ class LegCosts:
         self.physics = physics
         self._time = {}     # (mode, speed, half) -> {(i, j): minutes}
         self._energy = {}   # (mode, speed, half, load_r) -> {(i, j): kJ}
+        self.n_cust = inst.n_customers
+        self.ncust2 = 2 * inst.n_customers
+        nodes = range(inst.n_nodes)
+        self.demand = [inst.node_demand(v) for v in nodes]
+        self.win_e = [inst.node_window(v)[0] for v in nodes]
+        self.win_l = [inst.node_window(v)[1] for v in nodes]
 
     def _speed(self, vehicle, half):
         return vehicle.max_speed / 2.0 if half else vehicle.max_speed
@@ -294,6 +303,37 @@ def feasible_mask(s):
 # transition
 
 
+def advance(legs, veh, pos, clock, batt, load, node):
+    """The one (vehicle, node) transition, shared by simulator and solvers.
+
+    ``veh`` leaves ``pos`` at ``clock`` with ``batt`` kJ and ``load`` units on
+    board and rides to ``node`` (at half speed when it is a depot).  At a
+    depot it recharges fully; at a pickup it waits for the window to open;
+    at a customer it then serves for the instance's service time.  Returns
+    ``(t_leg, arrival, departure, battery_arrival, battery_after,
+    load_after, wait, late)``, where ``wait`` is the idle time before a
+    pickup window opens and ``late`` the tardiness of a delivery (both zero
+    elsewhere).  Pure: feasibility is left to the caller.
+    """
+    half = node >= legs.ncust2
+    t_leg = legs.time_min(veh, pos, node, half)
+    arrival = clock + t_leg
+    e_arr = batt - legs.energy_kj(veh, pos, node, load, half)
+    if half:
+        recharge = (max(veh.battery - e_arr, 0.0) / veh.charge_rate
+                    if veh.charge_rate > 0 else 0.0)
+        return (t_leg, arrival, arrival + recharge, e_arr, veh.battery, load,
+                0.0, 0.0)
+    load_after = load + legs.demand[node]     # negative demand at deliveries
+    service = legs.inst.service_time
+    if node < legs.n_cust:
+        early = legs.win_e[node]
+        return (t_leg, arrival, max(arrival, early) + service, e_arr, e_arr,
+                load_after, max(early - arrival, 0.0), 0.0)
+    return (t_leg, arrival, arrival + service, e_arr, e_arr, load_after,
+            0.0, max(arrival - legs.win_l[node], 0.0))
+
+
 def step(s, action):
     """Apply (vehicle, node); returns the successor state (input unchanged)."""
     k, j = action
@@ -304,32 +344,14 @@ def step(s, action):
     if i == j:
         raise ValueError(f"vehicle {k} is already at node {j}")
     kind = inst.node_kind(j)
-    half = kind == "depot"
-    load = float(s.load[k])
-    t_leg = s.legs.time_min(veh, i, j, half=half)
-    e_leg = s.legs.energy_kj(veh, i, j, load, half=half)
-    arrival = float(s.clock[k]) + t_leg
-    battery_arr = float(s.battery[k]) - e_leg
-
-    if kind == "depot":
-        recharge = max(veh.battery - battery_arr, 0.0) / veh.charge_rate \
-            if veh.charge_rate > 0 else 0.0
-        departure = arrival + recharge
-        battery_after = veh.battery
-        load_after = load
-    elif kind == "pickup":
-        early, late = inst.node_window(j)
-        departure = max(arrival, early) + inst.service_time
-        battery_after = battery_arr
-        load_after = load + inst.node_demand(j)
-        s.carrying[k].add(j)
-        s.visited[j] = True
-        s.demand[j] = 0.0
-    else:  # delivery
-        departure = arrival + inst.service_time
-        battery_after = battery_arr
-        load_after = load + inst.node_demand(j)   # demand is negative here
-        s.carrying[k].discard(j - inst.n_customers)
+    _, arrival, departure, battery_arr, battery_after, load_after, _, _ = \
+        advance(s.legs, veh, i, float(s.clock[k]), float(s.battery[k]),
+                float(s.load[k]), j)
+    if kind != "depot":
+        if kind == "pickup":
+            s.carrying[k].add(j)
+        else:
+            s.carrying[k].discard(j - inst.n_customers)
         s.visited[j] = True
         s.demand[j] = 0.0
 

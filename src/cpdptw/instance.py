@@ -257,6 +257,10 @@ class Instance:
             if d.id != 2 * n + k:
                 raise ValueError(
                     f"depot {k}: id must be {2 * n + k} (2N + position), got {d.id}")
+            if d.recharge is not True:
+                raise ValueError(
+                    f"depot {k}: recharge must be true (every depot recharges "
+                    f"in the simulator and the solvers), got {d.recharge!r}")
             x, y = d.loc
             if not (0 <= x <= self.area_km and 0 <= y <= self.area_km):
                 raise ValueError(

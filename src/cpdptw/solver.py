@@ -30,25 +30,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import PhysicsConfig
-from .env import LegCosts, Route, Solution, Visit, episode_cost
+from .env import LegCosts, Route, Solution, Visit, advance, episode_cost
 from .network import build_networks
 
 _EPS = 1e-9
+
+# exact search is affordable up to this many customer nodes (2N)
+EXACT_NODE_LIMIT = 10
 
 
 @dataclass
 class SolverLimits:
     max_nodes_expanded: int | None = None
     time_budget: float | None = None       # seconds
-    optimality_gap_target: float = 0.0
 
     def validate(self):
         if self.max_nodes_expanded is not None and self.max_nodes_expanded <= 0:
             raise ValueError("max_nodes_expanded: must be positive")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError("time_budget: must be positive")
-        if self.optimality_gap_target < 0:
-            raise ValueError("optimality_gap_target: must be >= 0")
         return self
 
 
@@ -74,24 +74,13 @@ class _Ctx:
     def __init__(self, inst, fleet, nets, physics):
         self.inst = inst
         self.fleet = fleet
-        self.nets = nets
-        self.physics = physics
         self.legs = LegCosts(inst, nets, physics)
         w = inst.cost_weights
         self.alpha = [w.alpha1 if v.mode == "UAV" else w.alpha2
                       for v in fleet.vehicles]
-        self.w = w
         self.w3e = w.alpha3_early
         self.w3l = w.alpha3_late
         self.depots = inst.depot_nodes()
-        # flat per-node tables so the hot path skips instance method calls
-        self.n_cust = inst.n_customers
-        self.ncust2 = 2 * inst.n_customers
-        self.service = inst.service_time
-        self.demand = [inst.node_demand(v) if v < self.ncust2 else 0.0
-                       for v in range(inst.n_nodes)]
-        self.win_e = [inst.node_window(v)[0] for v in range(inst.n_nodes)]
-        self.win_l = [inst.node_window(v)[1] for v in range(inst.n_nodes)]
         self.floor = [v.battery_floor * v.battery for v in fleet.vehicles]
 
     def fresh(self, k):
@@ -99,144 +88,85 @@ class _Ctx:
         return (v.start_depot, 0.0, v.battery, 0.0, frozenset())
 
 
-def _direct_status(ctx, k, rs, c):
-    """(feasible, battery_blocked_only) for serving ``c`` straight away."""
-    veh = ctx.fleet.vehicles[k]
-    pos, clock, batt, load, carried = rs
-    legs = ctx.legs
-    if c < ctx.n_cust:
-        if load + ctx.demand[c] > veh.capacity + _EPS:
-            return False, False
-        if clock + legs.time_min(veh, pos, c) > ctx.win_l[c] + _EPS:
-            return False, False
-    e_arr = batt - legs.energy_kj(veh, pos, c, load)
-    if e_arr < ctx.floor[k] - 1e-12:
-        return False, True
-    return True, False
+def _successors(ctx, k, rs, candidates):
+    """Feasible ``(move, new_rs, added_cost)`` from ``rs``, in move order.
 
-
-def _apply_customer(ctx, k, rs, c):
-    """Serve ``c`` from ``rs``; returns (new_rs, added_cost)."""
-    veh = ctx.fleet.vehicles[k]
-    pos, clock, batt, load, carried = rs
-    legs = ctx.legs
-    t_leg = legs.time_min(veh, pos, c)
-    arrival = clock + t_leg
-    e_arr = batt - legs.energy_kj(veh, pos, c, load)
-    cost = ctx.alpha[k] * t_leg
-    if c < ctx.n_cust:
-        early = ctx.win_e[c]
-        wait = max(early - arrival, 0.0)
-        cost += ctx.w3e * wait
-        departure = max(arrival, early) + ctx.service
-        carried2 = carried | {c}
-    else:
-        cost += ctx.w3l * max(arrival - ctx.win_l[c], 0.0)
-        departure = arrival + ctx.service
-        carried2 = carried - {c - ctx.n_cust}
-    load2 = load + ctx.demand[c]                # negative for deliveries
-    return (c, departure, e_arr, load2, carried2), cost
-
-
-def _apply_depot(ctx, k, rs, d):
-    """Half-speed run to depot ``d`` plus a full recharge; (new_rs, cost)."""
-    veh = ctx.fleet.vehicles[k]
-    pos, clock, batt, load, carried = rs
-    legs = ctx.legs
-    t_leg = legs.time_min(veh, pos, d, half=True)
-    e_arr = batt - legs.energy_kj(veh, pos, d, load, half=True)
-    recharge = max(veh.battery - e_arr, 0.0) / veh.charge_rate \
-        if veh.charge_rate > 0 else 0.0
-    departure = clock + t_leg + recharge
-    rs2 = (d, departure, veh.battery, load, carried)
-    return rs2, ctx.alpha[k] * t_leg
-
-
-def _depot_reachable(ctx, k, rs, d):
-    veh = ctx.fleet.vehicles[k]
-    pos, clock, batt, load, carried = rs
-    e_arr = batt - ctx.legs.energy_kj(veh, pos, d, load, half=True)
-    return e_arr >= ctx.floor[k] - 1e-12
-
-
-def _composite_ok(ctx, k, rs, d, c):
-    """Whether recharging at ``d`` and then serving ``c`` is feasible."""
-    veh = ctx.fleet.vehicles[k]
-    pos, clock, batt, load, carried = rs
-    legs = ctx.legs
-    e_d = batt - legs.energy_kj(veh, pos, d, load, half=True)
-    if e_d < ctx.floor[k] - 1e-12:
-        return False
-    dep = clock + legs.time_min(veh, pos, d, half=True)
-    if veh.charge_rate > 0:
-        dep += max(veh.battery - e_d, 0.0) / veh.charge_rate
-    if c < ctx.n_cust:
-        if load + ctx.demand[c] > veh.capacity + _EPS:
-            return False
-        if dep + legs.time_min(veh, d, c) > ctx.win_l[c] + _EPS:
-            return False
-    return veh.battery - legs.energy_kj(veh, d, c, load) \
-        >= ctx.floor[k] - 1e-12
-
-
-def _route_moves(ctx, k, rs, open_pickups):
-    """Ordered (depot-or-None, customer) moves from ``rs``.
-
-    ``open_pickups`` are globally unserved pickups; carried parcels add
-    their deliveries.  Every customer move also comes in composite
-    (recharge at a depot, then serve) variants: stopping early — before the
-    battery actually blocks — is sometimes the only way to keep a later leg
-    alive.  From a depot position no composites are generated: the battery
-    is already full there and depot-to-depot hops are not legal moves.
+    A move is (depot-or-None, customer): serve the customer straight away,
+    or recharge at the depot first.  Every customer also comes in composite
+    variants: stopping early -- before the battery actually blocks -- is
+    sometimes the only way to keep a later leg alive.  No composite is
+    offered from a depot (the battery is already full there and
+    depot-to-depot hops are not legal moves), nor for a customer that
+    capacity or its pickup deadline already rules out.
     """
-    carried = rs[4]
-    candidates = sorted([p + ctx.n_cust for p in carried] + open_pickups)
-    at_depot = rs[0] >= ctx.ncust2
-    moves = []
+    veh = ctx.fleet.vehicles[k]
+    legs = ctx.legs
+    pos, clock, batt, load, carried = rs
+    n_cust = legs.n_cust
+    floor = ctx.floor[k] - 1e-12
+    alpha, w3e, w3l = ctx.alpha[k], ctx.w3e, ctx.w3l
+    # recharge stops reachable from rs: (depot, departure, cost), built once
+    stops = [] if pos >= legs.ncust2 else None
+    out = []
     for c in candidates:
-        ok, battery_only = _direct_status(ctx, k, rs, c)
-        if ok:
-            moves.append((None, c))
-        if at_depot or (not ok and not battery_only):
+        pickup = c < n_cust
+        if pickup:
+            if load + legs.demand[c] > veh.capacity + _EPS:
+                continue
+            carried2 = carried | {c}
+        else:
+            carried2 = carried - {c - n_cust}
+        t, arrival, dep, e_arr, _, load2, wait, late = advance(
+            legs, veh, pos, clock, batt, load, c)
+        if pickup and arrival > legs.win_l[c] + _EPS:
             continue
-        for d in ctx.depots:
-            if _composite_ok(ctx, k, rs, d, c):
-                moves.append((d, c))
-    return moves
-
-
-def _apply_move(ctx, k, rs, move):
-    d, c = move
-    cost = 0.0
-    if d is not None:
-        rs, cost = _apply_depot(ctx, k, rs, d)
-    rs2, c2 = _apply_customer(ctx, k, rs, c)
-    return rs2, cost + c2
+        if e_arr >= floor:
+            out.append(((None, c), (c, dep, e_arr, load2, carried2),
+                        alpha * t + (w3e * wait if pickup else w3l * late)))
+        if stops is None:
+            stops = []
+            for d in ctx.depots:
+                t_d, _, dep_d, e_d, _, _, _, _ = advance(
+                    legs, veh, pos, clock, batt, load, d)
+                if e_d >= floor:
+                    stops.append((d, dep_d, alpha * t_d))
+        for d, dep_d, cost_d in stops:
+            t, arrival, dep, e_arr, _, load2, wait, late = advance(
+                legs, veh, d, dep_d, veh.battery, load, c)
+            if (pickup and arrival > legs.win_l[c] + _EPS) or e_arr < floor:
+                continue
+            out.append(((d, c), (c, dep, e_arr, load2, carried2),
+                        cost_d + (alpha * t + (w3e * wait if pickup
+                                               else w3l * late))))
+    return out
 
 
 def _end_moves(ctx, k, rs):
     """Ways to close the route as (closing_depot_or_None, added_cost).
 
-    None means the vehicle already stands at a depot (fresh route).
+    None means the vehicle already stands at a depot (fresh route).  Only
+    the last leg's cost and reachability matter here, so this prices the
+    leg directly rather than through ``advance``.
     """
     pos, clock, batt, load, carried = rs
     if carried:
         return []
-    if pos >= ctx.ncust2:
+    if pos >= ctx.legs.ncust2:
         return [(None, 0.0)]
     veh = ctx.fleet.vehicles[k]
+    legs = ctx.legs
     out = []
     for d in ctx.depots:
-        if _depot_reachable(ctx, k, rs, d):
+        if batt - legs.energy_kj(veh, pos, d, load, half=True) \
+                >= ctx.floor[k] - 1e-12:
             out.append((d, ctx.alpha[k] *
-                        ctx.legs.time_min(veh, pos, d, half=True)))
+                        legs.time_min(veh, pos, d, half=True)))
     return out
 
 
 def _replay(ctx, k, moves, end_depot):
     """Rebuild the Visit trail of a finished plan for vehicle ``k``."""
     veh = ctx.fleet.vehicles[k]
-    legs = ctx.legs
     pos, clock, batt, load = veh.start_depot, 0.0, veh.battery, 0.0
     visits = [Visit(int(pos), 0.0, 0.0, batt, 0.0, batt)]
     seq = []
@@ -247,24 +177,10 @@ def _replay(ctx, k, moves, end_depot):
     if end_depot is not None:
         seq.append(end_depot)
     for node in seq:
-        is_depot = node >= ctx.ncust2
-        t_leg = legs.time_min(veh, pos, node, half=is_depot)
-        arrival = clock + t_leg
-        e_arr = batt - legs.energy_kj(veh, pos, node, load, half=is_depot)
-        if is_depot:
-            recharge = max(veh.battery - e_arr, 0.0) / veh.charge_rate \
-                if veh.charge_rate > 0 else 0.0
-            departure = arrival + recharge
-            batt = veh.battery
-        else:
-            if node < ctx.n_cust:
-                departure = max(arrival, ctx.win_e[node]) + ctx.service
-            else:
-                departure = arrival + ctx.service
-            load += ctx.demand[node]
-            batt = e_arr
-        visits.append(Visit(int(node), arrival, departure, batt, load, e_arr))
-        pos, clock = node, departure
+        _, arrival, clock, e_arr, batt, load, _, _ = advance(
+            ctx.legs, veh, pos, clock, batt, load, node)
+        visits.append(Visit(int(node), arrival, clock, batt, load, e_arr))
+        pos = node
     return visits
 
 
@@ -315,7 +231,7 @@ class _Search:
         row = self.suffix_in[min(k, self.nv - 1)]
         for v in unserved:
             total += row[v]
-        if rs is not None and rs[0] < ctx.ncust2:
+        if rs is not None and rs[0] < ctx.legs.ncust2:
             # The active vehicle's final leg back to a depot departs either
             # from where it stands or from one of the still-unserved
             # customers, whichever its route ends on.
@@ -345,12 +261,12 @@ class _Search:
             return
         ctx = self.ctx
         if k == self.nv:
-            if len(served) == ctx.ncust2 and cost < self.best_cost:
+            if len(served) == ctx.legs.ncust2 and cost < self.best_cost:
                 self.best_cost = cost
                 self.best_plan = [(list(mv), end) for mv, end in plans]
             return
         if self.use_bound:
-            unserved = [v for v in range(ctx.ncust2) if v not in served]
+            unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
             if cost + self._bound(k, None, unserved) >= self.best_cost:
                 return
         self._route(k, ctx.fresh(k), served, cost, plans, [])
@@ -361,14 +277,15 @@ class _Search:
         self._tick()
         ctx = self.ctx
         if self.use_bound:
-            unserved = [v for v in range(ctx.ncust2) if v not in served]
+            unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
             if cost + self._bound(k, rs, unserved) >= self.best_cost:
                 return
+        n_cust = ctx.legs.n_cust
         carried = rs[4]
-        open_pickups = [p for p in range(ctx.n_cust)
-                        if p not in served and p not in carried]
-        for move in _route_moves(ctx, k, rs, open_pickups):
-            rs2, dcost = _apply_move(ctx, k, rs, move)
+        candidates = sorted([p + n_cust for p in carried]
+                            + [p for p in range(n_cust)
+                               if p not in served and p not in carried])
+        for move, rs2, dcost in _successors(ctx, k, rs, candidates):
             trail.append(move)
             self._route(k, rs2, served | {move[1]}, cost + dcost, plans, trail)
             trail.pop()
@@ -457,20 +374,10 @@ def _seq_eval(ctx, k, seq):
     """
     states = [(0.0, ctx.fresh(k), None)]
     for c in seq:
-        nxt = []
-        for cost, rs, chain in states:
-            ok, battery_only = _direct_status(ctx, k, rs, c)
-            if ok:
-                rs2, dc = _apply_customer(ctx, k, rs, c)
-                nxt.append((cost + dc, rs2, ((None, c), chain)))
-            if rs[0] >= ctx.ncust2 or (not ok and not battery_only):
-                continue
-            for d in ctx.depots:
-                if not _composite_ok(ctx, k, rs, d, c):
-                    continue
-                rs2, dc = _apply_move(ctx, k, rs, (d, c))
-                nxt.append((cost + dc, rs2, ((d, c), chain)))
-        states = _prune_states(nxt)
+        states = _prune_states([
+            (cost + dc, rs2, (move, chain))
+            for cost, rs, chain in states
+            for move, rs2, dc in _successors(ctx, k, rs, (c,))])
         if not states:
             return math.inf, None, None
     best = None
@@ -488,14 +395,6 @@ def _seq_eval(ctx, k, seq):
         chain = chain[1]
     moves.reverse()
     return best[0][0], moves, best[2]
-
-
-def _simulate_seq(ctx, k, seq):
-    """(visits, cost) of the cheapest realization of ``seq`` or (None, inf)."""
-    cost, moves, end = _seq_eval(ctx, k, seq)
-    if moves is None:
-        return None, math.inf
-    return _replay(ctx, k, moves, end), cost
 
 
 def _seq_cost(ctx, k, seq, cache):
@@ -543,11 +442,6 @@ def _insertion_best2(ctx, seqs, pair, cache):
     return best, second
 
 
-def _best_insertion(ctx, seqs, pair, cache):
-    """Cheapest (delta, vehicle, new_seq) insertion of ``pair`` or None."""
-    return _insertion_best2(ctx, seqs, pair, cache)[0]
-
-
 def _total(ctx, seqs, cache):
     return sum(_seq_cost(ctx, k, seqs[k], cache) for k in range(len(seqs)))
 
@@ -567,7 +461,7 @@ def _improve(ctx, seqs, cache):
             stripped = [c for c in seqs[k_from] if c not in (p, p + inst.n_customers)]
             trial = [list(s) for s in seqs]
             trial[k_from] = stripped
-            best = _best_insertion(ctx, trial, p, cache)
+            best = _insertion_best2(ctx, trial, p, cache)[0]
             if best is None:
                 continue
             trial[best[1]] = best[2]
@@ -653,7 +547,7 @@ def _construct(ctx, cache, rule, order):
     steps = 0
     if rule == "sequence":
         for p in order:
-            best = _best_insertion(ctx, seqs, p, cache)
+            best = _insertion_best2(ctx, seqs, p, cache)[0]
             if best is None:
                 return None, steps
             seqs[best[1]] = best[2]
@@ -719,8 +613,9 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
     _improve(ctx, seqs, cache)
     routes = []
     for k in range(len(fleet.vehicles)):
-        visits, _ = _simulate_seq(ctx, k, seqs[k])
-        routes.append(Route(vehicle=fleet.vehicles[k], visits=list(visits)))
+        _, moves, end = _seq_eval(ctx, k, seqs[k])
+        routes.append(Route(vehicle=fleet.vehicles[k],
+                            visits=_replay(ctx, k, moves, end)))
     sol = Solution(routes=routes, breakdown={}, total=0.0, complete=True)
     sol.breakdown = episode_cost(sol, inst)
     sol.total = sol.breakdown["total"]

@@ -276,6 +276,15 @@ def test_scenario_bad_solver_choice_is_json_error(tmp_path, capsys):
     assert "solver choice must be" in msg and "banana" in msg
 
 
+def test_scenario_unknown_solver_key_is_json_error(tmp_path, capsys):
+    scn = _write_scenario(tmp_path, seed=1,
+                          solver={"choice": "exact", "gap_target": 0.01})
+    rc = cli.main(["solve", "--scenario", str(scn)])
+    assert rc == 1
+    msg = _last_json_error(capsys)["message"]
+    assert "unknown solver key" in msg and "gap_target" in msg
+
+
 def test_scenario_missing_instance_file_is_json_error(tmp_path, capsys):
     scn = _write_scenario(tmp_path, seed=1,
                           instance=str(tmp_path / "ghost.yaml"))

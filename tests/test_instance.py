@@ -171,6 +171,18 @@ def test_load_rejects_unknown_format_version(tmp_path):
         load(path)
 
 
+def test_load_rejects_depot_without_recharge(tmp_path):
+    inst = generate(n_customers=1, n_depots=2, seed=0)
+    path = tmp_path / "case.yaml"
+    save(inst, path)
+    import yaml
+    doc = yaml.safe_load(path.read_text())
+    doc["depots"][1]["recharge"] = False
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match="depot 1: recharge"):
+        load(path)
+
+
 def test_load_fleet_returns_none_when_absent(tmp_path):
     inst = generate(n_customers=1, seed=0)
     path = tmp_path / "case.yaml"
