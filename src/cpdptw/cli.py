@@ -14,16 +14,19 @@ Scenario keys (all optional unless noted): ``seed`` (required in a file),
 ``instance`` (path to an instance YAML, or the literal ``toy``),
 ``generate`` (args for the instance generator when no file is given),
 ``fleet`` (path to a YAML with a fleet section, or ``{n_uav, n_adr}``),
-``adjacency`` (zeta/mu/rho), ``physics`` (uav/adr/wind/wind_formula/
+``adjacency`` (zeta/mu/rho/seed), ``physics`` (uav/adr/wind/wind_formula/
 payload_kg_per_unit), ``weights`` (cost weights), ``solver``
 (choice/max_nodes/time_budget), ``strategy``, ``scorer``
-(``greedy`` or a weights file), ``out``.
+(``greedy`` or a weights file), ``out``.  An unknown key, at the top or in
+any of these mappings, is an error; so are solver limits on a run that
+uses no exact search.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -45,6 +48,23 @@ from .network import AdjacencySpec, build_networks
 LOG = logging.getLogger("cpdptw")
 
 SOLVER_KEYS = ("choice", "max_nodes", "time_budget")
+GENERATE_KEYS = ("n_customers", "n_depots", "area_km", "window_profile")
+# the keys a scenario may use, per mapping it may hold
+SCENARIO_KEYS = {
+    "": ("seed", "instance", "generate", "fleet", "adjacency", "physics",
+         "weights", "solver", "strategy", "scorer", "out"),
+    "instance": GENERATE_KEYS,
+    "generate": GENERATE_KEYS,
+    "fleet": ("n_uav", "n_adr", "start_depot"),
+    "adjacency": ("zeta", "mu", "rho", "seed"),
+    "physics": ("uav", "adr", "wind", "wind_formula", "payload_kg_per_unit"),
+    "physics.uav": tuple(f.name for f in dataclasses.fields(UavParams)),
+    "physics.adr": tuple(f.name for f in dataclasses.fields(AdrParams)),
+    "physics.wind": ("model", "speed", "course", "seed"),
+    "weights": tuple(f.name for f in dataclasses.fields(
+        instance_mod.CostWeights)),
+    "solver": SOLVER_KEYS,
+}
 
 WIND_PRESETS = {
     "none": {"model": "none", "speed": 0.0, "course": 0.0},
@@ -96,12 +116,17 @@ def load_scenario(path):
     solver_cfg = scn.get("solver")
     if isinstance(solver_cfg, str):
         scn["solver"] = {"choice": solver_cfg}
+    for where, allowed in SCENARIO_KEYS.items():
+        section = scn
+        for part in where.split(".") if where else ():
+            section = section.get(part) if isinstance(section, dict) else None
+        if isinstance(section, dict):
+            unknown = sorted(set(section) - set(allowed))
+            if unknown:
+                raise ValueError(
+                    f"scenario {path}: unknown {where or 'scenario'} "
+                    f"key(s) {unknown}; expected {'|'.join(allowed)}")
     if isinstance(scn.get("solver"), dict):
-        unknown = sorted(set(scn["solver"]) - set(SOLVER_KEYS))
-        if unknown:
-            raise ValueError(
-                f"scenario {path}: unknown solver key(s) {unknown}; "
-                f"expected {'|'.join(SOLVER_KEYS)}")
         choice = scn["solver"].get("choice")
         if choice is not None and choice not in ("exact", "heuristic", "both"):
             raise ValueError(
@@ -265,6 +290,15 @@ def _solver_limits(scn):
         time_budget=cfg.get("time_budget"))
 
 
+def _reject_limits(scn, why):
+    """Solver limits bind only the exact search: refuse runs without one."""
+    cfg = scn.get("solver", {}) or {}
+    given = [k for k in ("max_nodes", "time_budget") if cfg.get(k) is not None]
+    if given:
+        raise ValueError(f"solver {'/'.join(given)} bind only the exact "
+                         f"search, and {why}")
+
+
 def cmd_solve(args):
     scn, seed, out_dir, inst, fleet, physics, nets = _prepare(args)
     choice = args.solver or (scn.get("solver", {}) or {}).get("choice")
@@ -272,6 +306,8 @@ def cmd_solve(args):
         choice = "both" if 2 * inst.n_customers <= solver_mod.EXACT_NODE_LIMIT \
             else "heuristic"
         LOG.info("solver choice defaulted to %s", choice)
+    if choice == "heuristic":
+        _reject_limits(scn, "this run solves with the heuristic only")
     limits = _solver_limits(scn)
     out = _ensure_out(out_dir)
     reports = {}
@@ -322,6 +358,7 @@ def cmd_rollout(args):
 
 def cmd_coalition(args):
     scn, seed, out_dir, inst, fleet, physics, nets = _prepare(args)
+    _reject_limits(scn, "a coalition sweep runs its solvers without limits")
     uavs = [v for v in fleet.vehicles if v.mode == "UAV"]
     adrs = [v for v in fleet.vehicles if v.mode == "ADR"]
     m = args.m if args.m is not None else max(1, len(uavs))

@@ -22,6 +22,7 @@ accounting, so solver totals and episode costs agree.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import time as _time
@@ -32,6 +33,8 @@ import numpy as np
 from .energy import PhysicsConfig
 from .env import LegCosts, Route, Solution, Visit, advance, episode_cost
 from .network import build_networks
+
+LOG = logging.getLogger(__name__)
 
 _EPS = 1e-9
 
@@ -82,6 +85,11 @@ class _Ctx:
         self.w3l = w.alpha3_late
         self.depots = inst.depot_nodes()
         self.floor = [v.battery_floor * v.battery for v in fleet.vehicles]
+        # the heuristic's label tries: identical vehicles price every
+        # sequence identically, so they share one root
+        self.kind = [fleet.vehicles.index(v) for v in fleet.vehicles]
+        self.roots = {}
+        self.trie_stats = [0, 0, 0]     # lookups, extensions, dead hits
 
     def fresh(self, k):
         v = self.fleet.vehicles[k]
@@ -362,59 +370,149 @@ def _prune_states(states):
     return kept
 
 
+class _Prefix:
+    """Trie node: the Pareto labels of one vehicle after a customer prefix.
+
+    Every label of a prefix stands at the same node with the same load and
+    the same carried set, so the node holds those once; a label is
+    ``(cost, clock, battery, chain)`` with ``chain`` the parent-linked move
+    list.  ``children`` maps the next customer to its node, and ``end``
+    caches the cheapest closing ``(cost, chain, end_depot)`` once asked.
+    """
+
+    __slots__ = ("pos", "load", "carried", "labels", "children", "end")
+
+    def __init__(self, pos, load, carried, labels):
+        self.pos = pos
+        self.load = load
+        self.carried = carried
+        self.labels = labels
+        self.children = {}
+        self.end = None
+
+
+# the one node of every prefix that has no feasible realization
+_DEAD = _Prefix(None, None, None, [])
+_DEAD.end = (math.inf, None, None)
+
+
+def _extend(ctx, k, node, c):
+    """The child of ``node`` for customer ``c``: one Pareto sweep step."""
+    pos, load, carried = node.pos, node.load, node.carried
+    states = _prune_states([
+        (cost + dc, rs2, (move, chain))
+        for cost, clock, batt, chain in node.labels
+        for move, rs2, dc in _successors(
+            ctx, k, (pos, clock, batt, load, carried), (c,))])
+    if not states:
+        return _DEAD
+    pos, _, _, load, carried = states[0][1]
+    return _Prefix(pos, load, carried,
+                   [(cost, rs[1], rs[2], chain) for cost, rs, chain in states])
+
+
+def _closed(ctx, k, node):
+    """``(cost, chain, end_depot)`` of the cheapest way to end the route
+    after ``node``'s prefix (cost inf when none); memoised on the node."""
+    if node.end is None:
+        best = None
+        for cost, clock, batt, chain in node.labels:
+            rs = (node.pos, clock, batt, node.load, node.carried)
+            for d, dcost in _end_moves(ctx, k, rs):
+                key = (cost + dcost, clock, -1 if d is None else d)
+                if best is None or key < best[0]:
+                    best = (key, chain, d)
+        node.end = (math.inf, None, None) if best is None \
+            else (best[0][0], best[1], best[2])
+    return node.end
+
+
+def _root(ctx, k):
+    """Trie root of vehicle ``k``: one fresh label at its home depot."""
+    kind = ctx.kind[k]
+    node = ctx.roots.get(kind)
+    if node is None:
+        veh = ctx.fleet.vehicles[k]
+        node = ctx.roots[kind] = _Prefix(veh.start_depot, 0.0, frozenset(),
+                                         [(0.0, 0.0, veh.battery, None)])
+    return node
+
+
+def _walk(ctx, k, node, seq):
+    """The node reached from ``node`` along ``seq``, pricing each prefix
+    no earlier walk has reached; ``_DEAD`` as soon as one is infeasible."""
+    stats = ctx.trie_stats
+    for c in seq:
+        stats[0] += 1
+        child = node.children.get(c)
+        if child is None:
+            stats[1] += 1
+            child = node.children[c] = _extend(ctx, k, node, c)
+        elif child is _DEAD:
+            stats[2] += 1
+        if child is _DEAD:
+            return _DEAD
+        node = child
+    return node
+
+
 def _seq_eval(ctx, k, seq):
     """Price a fixed customer sequence, choosing recharge stops optimally.
 
     Before each customer the vehicle either rides straight or tops up at
     one reachable depot first; a small Pareto sweep over (cost, clock,
     battery) keeps every undominated realization, because an early recharge
-    can be what saves a later leg.  Returns (cost, moves, end_depot) of the
-    cheapest full realization or (inf, None, None).  Moves are recorded as
-    parent chains so states stay allocation-light.
+    can be what saves a later leg.  The sweep's labels after each prefix
+    stay in a trie that lives as long as ``ctx`` (one per distinct
+    vehicle), so a sequence pays only for the suffix no earlier call has
+    priced, and every sequence through an infeasible prefix stops at one
+    shared dead node.  Returns (cost, moves, end_depot) of the cheapest
+    full realization or (inf, None, None).
     """
-    states = [(0.0, ctx.fresh(k), None)]
-    for c in seq:
-        states = _prune_states([
-            (cost + dc, rs2, (move, chain))
-            for cost, rs, chain in states
-            for move, rs2, dc in _successors(ctx, k, rs, (c,))])
-        if not states:
-            return math.inf, None, None
-    best = None
-    for cost, rs, chain in states:
-        for d, dcost in _end_moves(ctx, k, rs):
-            key = (cost + dcost, rs[1], -1 if d is None else d)
-            if best is None or key < best[0]:
-                best = (key, chain, d)
-    if best is None:
+    cost, chain, end = _closed(ctx, k, _walk(ctx, k, _root(ctx, k), seq))
+    if math.isinf(cost):
         return math.inf, None, None
     moves = []
-    chain = best[1]
     while chain is not None:
         moves.append(chain[0])
         chain = chain[1]
     moves.reverse()
-    return best[0][0], moves, best[2]
+    return cost, moves, end
 
 
-def _seq_cost(ctx, k, seq, cache):
-    key = (k, tuple(seq))
-    hit = cache.get(key)
-    if hit is None:
-        hit = _seq_eval(ctx, k, seq)[0]
-        cache[key] = hit
-    return hit
+def _seq_cost(ctx, k, seq):
+    return _closed(ctx, k, _walk(ctx, k, _root(ctx, k), seq))[0]
 
 
-def _pair_positions(seq, pickup, delivery):
-    """All sequences obtained by inserting the pair into ``seq``."""
+def _insertions(ctx, k, seq, pickup, delivery):
+    """Feasible insertions of a pair into vehicle ``k``'s ``seq``.
+
+    Yields ``(cost, new_seq)`` for pickup slot i and delivery slot j >= i,
+    in (i, j) order.  The walk shares every prefix between slots, and a
+    dead prefix ends the delivery slots that would extend it.
+    """
     n = len(seq)
+    head = _root(ctx, k)                  # after seq[:i]
     for i in range(n + 1):
-        for j in range(i, n + 1):
-            yield seq[:i] + [pickup] + seq[i:j] + [delivery] + seq[j:]
+        mid = _walk(ctx, k, head, (pickup,))     # after seq[:i] + pickup
+        for j in range(i, n + 1):              # mid: ... + seq[i:j]
+            if mid is _DEAD:
+                break
+            tail = _walk(ctx, k, mid, (delivery,))
+            if tail is not _DEAD:
+                cost = _closed(ctx, k, _walk(ctx, k, tail, seq[j:]))[0]
+                if not math.isinf(cost):
+                    yield cost, seq[:i] + [pickup] + seq[i:j] + [delivery] \
+                        + seq[j:]
+            if j < n:
+                mid = _walk(ctx, k, mid, (seq[j],))
+        if i < n:
+            head = _walk(ctx, k, head, (seq[i],))
+            if head is _DEAD:
+                return
 
 
-def _insertion_best2(ctx, seqs, pair, cache):
+def _insertion_best2(ctx, seqs, pair):
     """Best insertion of ``pair`` plus the runner-up cost delta.
 
     Returns ``(best, second_delta)`` where ``best`` is
@@ -426,13 +524,10 @@ def _insertion_best2(ctx, seqs, pair, cache):
     best = None
     second = math.inf
     for k in range(len(seqs)):
-        base = _seq_cost(ctx, k, seqs[k], cache)
+        base = _seq_cost(ctx, k, seqs[k])
         if math.isinf(base):
             continue
-        for cand in _pair_positions(seqs[k], pickup, delivery):
-            c = _seq_cost(ctx, k, cand, cache)
-            if math.isinf(c):
-                continue
+        for c, cand in _insertions(ctx, k, seqs[k], pickup, delivery):
             delta = c - base
             if best is None or delta < best[0] - 1e-12:
                 second = best[0] if best is not None else math.inf
@@ -442,11 +537,11 @@ def _insertion_best2(ctx, seqs, pair, cache):
     return best, second
 
 
-def _total(ctx, seqs, cache):
-    return sum(_seq_cost(ctx, k, seqs[k], cache) for k in range(len(seqs)))
+def _total(ctx, seqs):
+    return sum(_seq_cost(ctx, k, seqs[k]) for k in range(len(seqs)))
 
 
-def _improve(ctx, seqs, cache):
+def _improve(ctx, seqs):
     """First-improvement local search: pair relocate, pair exchange between
     routes, whole-route mode swap.  Deterministic sweep order."""
     inst = ctx.inst
@@ -454,18 +549,18 @@ def _improve(ctx, seqs, cache):
     improved = True
     while improved:
         improved = False
-        current = _total(ctx, seqs, cache)
+        current = _total(ctx, seqs)
         # relocate one pair anywhere
         for p in range(inst.n_customers):
             k_from = next(k for k in range(nv) if p in seqs[k])
             stripped = [c for c in seqs[k_from] if c not in (p, p + inst.n_customers)]
             trial = [list(s) for s in seqs]
             trial[k_from] = stripped
-            best = _insertion_best2(ctx, trial, p, cache)[0]
+            best = _insertion_best2(ctx, trial, p)[0]
             if best is None:
                 continue
             trial[best[1]] = best[2]
-            t = _total(ctx, trial, cache)
+            t = _total(ctx, trial)
             if t < current - 1e-9:
                 seqs[:] = trial
                 improved = True
@@ -487,14 +582,12 @@ def _improve(ctx, seqs, cache):
                 ok = True
                 for p, k_to in ((pa, kb), (pb, ka)):
                     best = None
-                    base = _seq_cost(ctx, k_to, trial[k_to], cache)
+                    base = _seq_cost(ctx, k_to, trial[k_to])
                     if math.isinf(base):
                         ok = False
                         break
-                    for cand in _pair_positions(trial[k_to], p, p + inst.n_customers):
-                        c = _seq_cost(ctx, k_to, cand, cache)
-                        if math.isinf(c):
-                            continue
+                    for c, cand in _insertions(ctx, k_to, trial[k_to], p,
+                                               p + inst.n_customers):
                         if best is None or c < best[0] - 1e-12:
                             best = (c, cand)
                     if best is None:
@@ -503,7 +596,7 @@ def _improve(ctx, seqs, cache):
                     trial[k_to] = best[1]
                 if not ok:
                     continue
-                t = _total(ctx, trial, cache)
+                t = _total(ctx, trial)
                 if t < current - 1e-9:
                     seqs[:] = trial
                     improved = True
@@ -519,7 +612,7 @@ def _improve(ctx, seqs, cache):
                     continue
                 trial = [list(s) for s in seqs]
                 trial[ka], trial[kb] = trial[kb], trial[ka]
-                t = _total(ctx, trial, cache)
+                t = _total(ctx, trial)
                 if t < current - 1e-9:
                     seqs[:] = trial
                     improved = True
@@ -529,7 +622,7 @@ def _improve(ctx, seqs, cache):
     return seqs
 
 
-def _construct(ctx, cache, rule, order):
+def _construct(ctx, rule, order):
     """One greedy construction pass; returns ``(seqs, insertions)``.
 
     ``rule`` picks which unrouted pair goes next:
@@ -547,7 +640,7 @@ def _construct(ctx, cache, rule, order):
     steps = 0
     if rule == "sequence":
         for p in order:
-            best = _insertion_best2(ctx, seqs, p, cache)[0]
+            best = _insertion_best2(ctx, seqs, p)[0]
             if best is None:
                 return None, steps
             seqs[best[1]] = best[2]
@@ -557,7 +650,7 @@ def _construct(ctx, cache, rule, order):
     while unrouted:
         chosen = None
         for p in unrouted:
-            best, second = _insertion_best2(ctx, seqs, p, cache)
+            best, second = _insertion_best2(ctx, seqs, p)
             if best is None:
                 continue
             key = best[0] if rule == "cheapest" else best[0] - second
@@ -572,6 +665,11 @@ def _construct(ctx, cache, rule, order):
     return seqs, steps
 
 
+def _log_trie(ctx):
+    LOG.debug("heuristic label trie: %d lookups, %d prefix extensions, "
+              "%d dead-prefix hits", *ctx.trie_stats)
+
+
 def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
     """Cheapest pair insertion followed by first-improvement local search.
 
@@ -580,10 +678,16 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
     first) and a few seeded shuffles.  The cheapest feasible construction
     is then polished by local search; infeasible is reported only when
     every start dead-ends.
+
+    Every candidate sequence of every start, every local-search trial and
+    the final route rebuild are priced through one label trie per
+    distinct vehicle (see ``_seq_eval``), which lives for this call: a
+    candidate pays only for the suffix no earlier candidate has priced.
+    The trie's lookup, extension and dead-prefix counts are logged at
+    DEBUG on ``cpdptw.solver``.
     """
     ctx = _make_ctx(inst, fleet, nets, physics)
     t0 = _time.perf_counter()
-    cache = {}
     by_demand = sorted(range(inst.n_customers),
                        key=lambda p: -inst.customers[p].demand)
     by_deadline = sorted(range(inst.n_customers),
@@ -597,20 +701,21 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
         starts.append(("sequence", shuffled))
     best_seqs, best_total, steps = None, math.inf, 0
     for rule, order in starts:
-        seqs_i, s = _construct(ctx, cache, rule, order)
+        seqs_i, s = _construct(ctx, rule, order)
         steps += s
         if seqs_i is None:
             continue
-        tot = _total(ctx, seqs_i, cache)
+        tot = _total(ctx, seqs_i)
         if tot < best_total - 1e-12:
             best_total, best_seqs = tot, seqs_i
     if best_seqs is None:
+        _log_trie(ctx)
         return SolveReport(solution=None, proven_optimal=False,
                            nodes_expanded=steps,
                            wall_time=_time.perf_counter() - t0,
                            feasible=False)
     seqs = best_seqs
-    _improve(ctx, seqs, cache)
+    _improve(ctx, seqs)
     routes = []
     for k in range(len(fleet.vehicles)):
         _, moves, end = _seq_eval(ctx, k, seqs[k])
@@ -619,6 +724,7 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
     sol = Solution(routes=routes, breakdown={}, total=0.0, complete=True)
     sol.breakdown = episode_cost(sol, inst)
     sol.total = sol.breakdown["total"]
+    _log_trie(ctx)
     return SolveReport(solution=sol, proven_optimal=False, nodes_expanded=steps,
                        wall_time=_time.perf_counter() - t0)
 

@@ -285,6 +285,73 @@ def test_scenario_unknown_solver_key_is_json_error(tmp_path, capsys):
     assert "unknown solver key" in msg and "gap_target" in msg
 
 
+@pytest.mark.parametrize("body, where, key, allowed", [
+    ({"wieghts": {"alpha1": 100.0}}, "scenario", "wieghts", "weights"),
+    ({"generate": {"n_customer": 3}}, "generate", "n_customer", "n_customers"),
+    ({"instance": {"n_depot": 2}}, "instance", "n_depot", "n_depots"),
+    ({"fleet": {"n_uavs": 2}}, "fleet", "n_uavs", "n_uav"),
+    ({"adjacency": {"rhoo": 0.5}}, "adjacency", "rhoo", "zeta|mu|rho|seed"),
+    ({"physics": {"wnd": {"speed": 3.0}}}, "physics", "wnd", "wind_formula"),
+    ({"physics": {"wind": {"sped": 12.0}}}, "physics.wind", "sped",
+     "model|speed|course|seed"),
+    ({"physics": {"uav": {"mas": 1.0}}}, "physics.uav", "mas",
+     "masses_kg|n_rotors"),
+    ({"physics": {"adr": {"fricton": 0.1}}}, "physics.adr", "fricton",
+     "friction"),
+    ({"weights": {"alpah1": 1.0}}, "weights", "alpah1", "alpha1"),
+])
+def test_scenario_unknown_key_is_json_error(tmp_path, capsys, body, where,
+                                            key, allowed):
+    scn = _write_scenario(tmp_path, seed=1, **body)
+    rc = cli.main(["solve", "--scenario", str(scn)])
+    assert rc == 1
+    msg = _last_json_error(capsys)["message"]
+    assert f"unknown {where} key(s) ['{key}']" in msg
+    assert allowed in msg
+
+
+@pytest.mark.parametrize("solver_cfg, flag", [
+    ({"choice": "heuristic", "max_nodes": 1000}, []),
+    ({"choice": "both", "time_budget": 5.0}, ["--solver", "heuristic"]),
+    ({"max_nodes": 1000, "time_budget": 5.0}, []),   # N = 6 defaults to it
+])
+def test_solve_rejects_limits_the_heuristic_ignores(tmp_path, capsys,
+                                                    solver_cfg, flag):
+    scn = _write_scenario(tmp_path, seed=3, generate={"n_customers": 6},
+                          solver=solver_cfg)
+    rc = cli.main(["solve", "--scenario", str(scn),
+                   "--out", str(tmp_path / "o")] + flag)
+    assert rc == 1
+    msg = _last_json_error(capsys)["message"]
+    assert "bind only the exact search" in msg
+    for key in ("max_nodes", "time_budget"):
+        assert (key in msg) == (key in solver_cfg)
+    assert not (tmp_path / "o" / "solution_heuristic.csv").exists()
+
+
+def test_solve_keeps_limits_when_the_exact_search_runs(tmp_path, capsys):
+    scn = _write_scenario(tmp_path, seed=3,
+                          generate={"n_customers": 2, "n_depots": 1},
+                          fleet={"n_uav": 1, "n_adr": 1},
+                          solver={"choice": "both", "max_nodes": 100000})
+    rc = cli.main(["solve", "--scenario", str(scn),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "exact: total" in capsys.readouterr().out
+
+
+def test_coalition_rejects_solver_limits(tmp_path, capsys):
+    scn = _write_scenario(tmp_path, seed=1,
+                          generate={"n_customers": 1, "n_depots": 1},
+                          solver={"choice": "exact", "time_budget": 5.0})
+    rc = cli.main(["coalition", "--scenario", str(scn), "--m", "1",
+                   "--n", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    msg = _last_json_error(capsys)["message"]
+    assert "time_budget bind only the exact search" in msg
+    assert not (tmp_path / "o" / "coalition.csv").exists()
+
+
 def test_scenario_missing_instance_file_is_json_error(tmp_path, capsys):
     scn = _write_scenario(tmp_path, seed=1,
                           instance=str(tmp_path / "ghost.yaml"))

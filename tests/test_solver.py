@@ -1,12 +1,15 @@
 """Branch-and-bound, exhaustive enumeration, insertion heuristic, validation."""
 
 import dataclasses
+import logging
 import math
+import random
 
 import numpy as np
 import pytest
 
 from cpdptw import env, instance, solver
+from cpdptw.energy import PhysicsConfig, WindState
 from cpdptw.instance import Customer, Depot, FleetSpec, Instance, Vehicle
 from cpdptw.solver import (SolverLimits, gap, solve_enumerate, solve_exact,
                            solve_heuristic, validate)
@@ -156,6 +159,128 @@ def test_heuristic_is_deterministic_per_seed():
     assert a.feasible and a.solution.total == b.solution.total
     assert [v.node for r in a.solution.routes for v in r.visits] == \
         [v.node for r in b.solution.routes for v in r.visits]
+
+
+# Recorded before the heuristic priced candidates through its label trie:
+# the trie must reproduce the earlier per-sequence sweep bit for bit.
+HEURISTIC_PINS = {
+    # criterion 8's instance under the east wind
+    "n20-east": ((20, 3), (8, 3), "east", 115, "32.320817723705474", [
+        [40, 13, 33, 19, 41, 2, 39, 22, 40, 0, 20, 40],
+        [40], [40], [40], [40], [40], [40], [40],
+        [40, 14, 34, 9, 29, 41, 1, 21, 5, 25, 15, 41, 3, 23, 35, 40],
+        [40, 16, 36, 40, 10, 30, 8, 40, 6, 28, 26, 4, 24, 17, 40, 37, 40],
+        [40, 7, 27, 41, 18, 38, 11, 40, 31, 12, 32, 41]]),
+    # calm air; no start places every pair
+    "n18-infeasible": ((18, 2), (7, 3), "none", 93, None, None),
+    "n40": ((40, 3), (13, 5), "none", 216, "58.643432815121834", [
+        [80, 27, 67, 37, 77, 14, 54, 81],
+        [80, 4, 44, 25, 65, 13, 16, 53, 56, 81],
+        [80, 15, 0, 40, 10, 50, 55, 80],
+        [80], [80], [80], [80], [80], [80], [80], [80], [80], [80],
+        [80, 34, 74, 81, 38, 2, 78, 80, 42, 9, 49, 29, 81, 69, 81],
+        [80, 1, 35, 75, 41, 17, 81, 57, 81, 18, 58, 8, 81, 48, 33, 73, 81],
+        [80, 7, 47, 80, 19, 59, 80, 32, 72, 24, 64, 5, 45, 80],
+        [80, 22, 30, 70, 81, 39, 79, 21, 62, 80, 20, 60, 61, 36, 31, 71, 81,
+         76, 81],
+        [80, 6, 46, 28, 68, 80, 23, 26, 63, 11, 81, 51, 12, 66, 3, 81, 52,
+         43, 81]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEURISTIC_PINS))
+def test_heuristic_is_pinned_bit_for_bit(name):
+    (n, seed), (n_uav, n_adr), wind, nodes, total, trail = HEURISTIC_PINS[name]
+    inst = instance.generate(n_customers=n, n_depots=2, seed=seed)
+    fleet = instance.default_fleet(n_uav, n_adr, inst.depot_nodes()[0])
+    physics = PhysicsConfig(wind=WindState(speed=12.0, course=0.0,
+                                           model="constant")) \
+        if wind == "east" else None
+    report = solve_heuristic(inst, fleet, physics=physics)
+    assert report.nodes_expanded == nodes
+    if total is None:
+        assert not report.feasible and report.solution is None
+        return
+    assert report.feasible
+    assert repr(report.solution.total) == total
+    assert [[v.node for v in r.visits]
+            for r in report.solution.routes] == trail
+
+
+def _memo_free_sweep(ctx, k, seq):
+    """Pareto sweep over ``seq`` from the depot, sharing nothing."""
+    states = [(0.0, ctx.fresh(k), [])]
+    for c in seq:
+        states = solver._prune_states([
+            (cost + dc, rs2, moves + [move])
+            for cost, rs, moves in states
+            for move, rs2, dc in solver._successors(ctx, k, rs, (c,))])
+        if not states:
+            return math.inf, None, None
+    best = None
+    for cost, rs, moves in states:
+        for d, dcost in solver._end_moves(ctx, k, rs):
+            key = (cost + dcost, rs[1], -1 if d is None else d)
+            if best is None or key < best[0]:
+                best = (key, moves, d)
+    if best is None:
+        return math.inf, None, None
+    return best[0][0], best[1], best[2]
+
+
+def test_label_trie_matches_memo_free_sweep_in_any_order():
+    inst = instance.generate(n_customers=7, n_depots=2, seed=4)
+    depot = inst.depot_nodes()[0]
+    fleet = instance.default_fleet(2, 1, depot)
+    # a small battery forces recharge stops and battery dead ends
+    fleet.vehicles.append(dataclasses.replace(fleet.vehicles[0], battery=3.5))
+    n = inst.n_customers
+    rng = random.Random(0)
+    seqs = []
+    for _ in range(40):
+        pairs = rng.sample(range(n), rng.randint(1, 3))
+        seq = []
+        for p in pairs:             # insert like the heuristic does
+            i = rng.randint(0, len(seq))
+            j = rng.randint(i, len(seq))
+            seq = seq[:i] + [p] + seq[i:j] + [p + n] + seq[j:]
+        seqs += [seq[:cut] for cut in range(len(seq) + 1)]
+    jobs = [(k, s) for k in range(len(fleet.vehicles)) for s in seqs]
+    ctx = solver._make_ctx(inst, fleet, None, None)
+    expected = [_memo_free_sweep(ctx, k, s) for k, s in jobs]
+    kinds = {"feasible": 0, "infeasible": 0, "recharge": 0}
+    for plan in expected:
+        kinds["infeasible" if math.isinf(plan[0]) else "feasible"] += 1
+        kinds["recharge"] += any(d is not None for d, _ in plan[1] or [])
+    assert min(kinds.values()) > 0, kinds
+
+    forward = solver._make_ctx(inst, fleet, None, None)
+    assert [solver._seq_eval(forward, k, s) for k, s in jobs] == expected
+    assert [solver._seq_cost(forward, k, s) for k, s in jobs] == \
+        [plan[0] for plan in expected]
+    lookups, extensions, dead_hits = forward.trie_stats
+    assert extensions < lookups and dead_hits > 0
+
+    order = list(range(len(jobs)))
+    rng.shuffle(order)
+    shuffled = solver._make_ctx(inst, fleet, None, None)
+    got = {i: solver._seq_eval(shuffled, *jobs[i]) for i in order}
+    assert [got[i] for i in range(len(jobs))] == expected
+    assert shuffled.trie_stats[1] == extensions   # same prefixes, any order
+
+
+def test_heuristic_logs_deterministic_trie_counts(caplog):
+    inst, fleet = make_case(n=4, seed=1, n_uav=2, n_adr=1)
+    lines = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cpdptw.solver"):
+            solve_heuristic(inst, fleet)
+        lines.append([r.getMessage() for r in caplog.records
+                      if r.name == "cpdptw.solver"])
+    assert len(lines[0]) == 1 and "label trie" in lines[0][0]
+    assert "prefix extensions" in lines[0][0] and "dead-prefix" in lines[0][0]
+    assert lines[0] == lines[1]
 
 
 # -- validation ---------------------------------------------------------------------
