@@ -18,8 +18,8 @@ from .env import (Solution, episode_cost, feasible_mask, greedy_nearest,
 from .instance import (CostWeights, Customer, Depot, FleetSpec, Instance,
                        Vehicle, default_fleet, generate, load, save)
 from .network import (AdjacencySpec, DualNetwork, apply_density,
-                      build_networks, edge_features, shortest_path,
-                      spatial_adjacency, temporal_adjacency)
+                      build_networks, edge_features, spatial_adjacency,
+                      temporal_adjacency)
 from .policy import (WeightSet, attention_scorer, decode_scores, encode,
                      gat_layer, init_embeddings, load_weights, random_weights,
                      save_weights)
@@ -41,7 +41,7 @@ __all__ = [
     "episode_cost", "feasible_mask", "gap", "gat_layer", "generate",
     "greedy_nearest", "headline_costs", "init_embeddings", "leg_energy",
     "load", "load_weights", "random_weights", "replay_route", "reset",
-    "rollout", "save", "save_weights", "shortest_path", "solve_enumerate",
+    "rollout", "save", "save_weights", "solve_enumerate",
     "solve_exact", "solve_heuristic", "spatial_adjacency", "step",
     "temporal_adjacency", "uav_power", "validate",
 ]

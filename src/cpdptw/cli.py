@@ -18,8 +18,8 @@ Scenario keys (all optional unless noted): ``seed`` (required in a file),
 payload_kg_per_unit), ``weights`` (cost weights), ``solver``
 (choice/max_nodes/time_budget), ``strategy``, ``scorer``
 (``greedy`` or a weights file), ``out``.  An unknown key, at the top or in
-any of these mappings, is an error; so are solver limits on a run that
-uses no exact search.
+any of these mappings, is an error; so is a count or seed that is not a
+YAML integer, and so are solver limits on a run that uses no exact search.
 """
 
 from __future__ import annotations
@@ -64,6 +64,15 @@ SCENARIO_KEYS = {
     "weights": tuple(f.name for f in dataclasses.fields(
         instance_mod.CostWeights)),
     "solver": SOLVER_KEYS,
+}
+# the keys that must hold a YAML integer, per mapping
+INTEGER_KEYS = {
+    "": ("seed",),
+    "instance": ("n_customers", "n_depots"),
+    "generate": ("n_customers", "n_depots"),
+    "fleet": ("n_uav", "n_adr", "start_depot"),
+    "adjacency": ("seed",),
+    "physics.wind": ("seed",),
 }
 
 WIND_PRESETS = {
@@ -120,12 +129,19 @@ def load_scenario(path):
         section = scn
         for part in where.split(".") if where else ():
             section = section.get(part) if isinstance(section, dict) else None
-        if isinstance(section, dict):
-            unknown = sorted(set(section) - set(allowed))
-            if unknown:
+        if not isinstance(section, dict):
+            continue
+        unknown = sorted(set(section) - set(allowed))
+        if unknown:
+            raise ValueError(
+                f"scenario {path}: unknown {where or 'scenario'} "
+                f"key(s) {unknown}; expected {'|'.join(allowed)}")
+        for key in INTEGER_KEYS.get(where, ()):
+            val = section.get(key, 0)
+            if isinstance(val, bool) or not isinstance(val, int):
+                name = f"{where}.{key}" if where else key
                 raise ValueError(
-                    f"scenario {path}: unknown {where or 'scenario'} "
-                    f"key(s) {unknown}; expected {'|'.join(allowed)}")
+                    f"scenario {path}: {name} must be an integer, got {val!r}")
     if isinstance(scn.get("solver"), dict):
         choice = scn["solver"].get("choice")
         if choice is not None and choice not in ("exact", "heuristic", "both"):

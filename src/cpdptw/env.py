@@ -1,10 +1,11 @@
 """MDP simulator: state, feasibility masking, transitions, cost accounting.
 
 The simulator advances one (vehicle, node) decision at a time.  Each step
-moves the chosen vehicle along the cached shortest path of its network,
-spends battery, waits for hard pickup windows to open, serves the node and
-updates the clock.  Vehicles ride at max speed between customers and at half
-speed when heading to a depot; recharging is linear in the missing charge.
+moves the chosen vehicle along its network's direct edge (or, for a blocked
+aerial pair, the shortest detour through other nodes), spends battery, waits
+for hard pickup windows to open, serves the node and updates the clock.
+Vehicles ride at max speed between customers and at half speed when heading
+to a depot; recharging is linear in the missing charge.
 
 Masking enforces, per candidate (vehicle k at node i, target j):
 
@@ -45,15 +46,20 @@ class LegCosts:
     """Lazy per-leg (time, energy) tables shared by simulator and solvers.
 
     Time depends on (mode, speed); energy additionally on the carried load
-    and on the half-speed depot-run flag.  Legs follow the cached shortest
-    path of the mode's graph, so blocked aerial pairs are priced along their
-    detour, edge by edge (each edge carries its own wind heading).
+    and on the half-speed depot-run flag.  Legs follow the shortest path of
+    the mode's graph, so blocked aerial pairs are priced along their detour,
+    edge by edge (each edge carries its own wind heading).
 
     Also holds the flat per-node tables (demand, windows) that ``advance``
-    reads, so the transition skips instance method calls.
+    reads, so the transition skips instance method calls.  Raises
+    ``ValueError`` when ``nets`` were built for another instance.
     """
 
     def __init__(self, inst, nets, physics):
+        xy = [inst.node_xy(v) for v in range(inst.n_nodes)]
+        if nets.aerial.xy != xy or nets.ground.xy != xy:
+            raise ValueError("networks were built for another instance: "
+                             "their node coordinates differ from the instance's")
         self.inst = inst
         self.nets = nets
         self.physics = physics
@@ -103,10 +109,9 @@ class LegCosts:
         params = ph.uav if vehicle.mode == "UAV" else ph.adr
         total = 0.0
         for a, b in zip(path, path[1:]):
-            length, cap = g.edge_attr(a, b)
-            (xa, ya), (xb, yb) = g.nodes[a], g.nodes[b]
+            (xa, ya), (xb, yb) = g.xy[a], g.xy[b]
             course = math.atan2(yb - ya, xb - xa)
-            total += leg_energy(vehicle.mode, length, min(speed, cap), payload,
+            total += leg_energy(vehicle.mode, g.dist[a][b], speed, payload,
                                 ph.wind, params, course=course,
                                 formula=ph.wind_formula, leg_key=(a, b))
         return total

@@ -1,14 +1,16 @@
 """Dual aerial/ground travel networks.
 
-Drones and sidewalk robots see different graphs over the same node set: the
-ground network follows the (desk-scale, Euclidean) street fabric and is never
-blocked, while the aerial network can lose direct customer-to-customer edges
-to obstacles with probability ``rho`` — blocked pairs must then route through
-other nodes.  Depot-anchored edges are never blocked, so every node stays
-reachable at any density.
+Drones and sidewalk robots see the same node set (the instance's pickups,
+deliveries and depots) through two overlaid graphs built from one dense
+matrix of straight-line lengths.  The ground graph is never blocked.  The
+aerial graph loses direct customer-to-customer edges to obstacles with
+probability ``rho``; a blocked pair must then route through other nodes.
+Depot-anchored edges are never blocked, so every node stays reachable at any
+density.
 
-Shortest paths minimize *distance*; travel time is derived afterwards from
-the stored path as sum(length / min(vehicle speed, edge cap)).
+The lengths are Euclidean, so an unblocked pair's shortest path is its
+direct edge.  Only a blocked pair needs a search: a Dijkstra from its source,
+run on first use.  Travel time is sum(length / vehicle speed) along the path.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
-
-FORMAT_VERSION = 1
 
 
 @dataclass
@@ -52,63 +51,52 @@ class EdgeFeature:
 
 
 class ModeGraph:
-    """Weighted directed graph for one travel mode.
+    """One travel mode over the instance's nodes.
 
-    ``nodes`` maps node index -> (x_km, y_km); ``kinds`` maps node index ->
-    customer-pickup | customer-delivery | depot | intermediary.  Edges are
-    (i, j, length_m, speed_cap_mps, allowed).  Immutable once built; one
-    shortest-path tree per source is cached on first use.
+    ``xy[i]`` is node i's (x_km, y_km) and ``dist[i][j]`` the length of the
+    direct edge i -> j in metres, ``inf`` when it is blocked.  Immutable
+    once built; the shortest-path tree of a source with a blocked pair is
+    cached on first use.
     """
 
-    def __init__(self, mode, nodes, kinds, edges):
+    def __init__(self, mode, xy, dist):
         self.mode = mode
-        self.nodes = dict(nodes)
-        self.kinds = dict(kinds)
-        self.edges = [tuple(e) for e in edges]
-        self._adj = {i: [] for i in self.nodes}
-        for (i, j, length, cap, allowed) in self.edges:
-            if length <= 0:
-                raise ValueError(f"edge ({i}, {j}): length must be > 0, got {length}")
-            if allowed:
-                self._adj[i].append((j, float(length), float(cap)))
-        for i in self._adj:
-            self._adj[i].sort()          # deterministic relaxation order
-        self._sssp_cache = {}
+        self.xy = xy
+        self.dist = dist
+        self._trees = {}
 
-    def is_customer(self, i):
-        return self.kinds[i] in ("customer-pickup", "customer-delivery")
-
-    # -- shortest paths -----------------------------------------------------
-
-    def _sssp(self, src):
-        """Dijkstra tree from ``src``: (dist_m dict, parent dict)."""
-        hit = self._sssp_cache.get(src)
+    def _tree(self, src):
+        """Dijkstra from ``src`` over the dense rows: (dist_m, parent) lists."""
+        hit = self._trees.get(src)
         if hit is not None:
             return hit
-        dist = {src: 0.0}
-        parent = {src: None}
+        n = len(self.dist)
+        dist = [math.inf] * n
+        parent = [None] * n
+        dist[src] = 0.0
         heap = [(0.0, src)]           # (distance, node): index breaks ties
-        done = set()
         while heap:
             d, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for (v, length, _cap) in self._adj.get(u, ()):
+            if d > dist[u]:
+                continue              # stale entry: u was settled nearer
+            for v, length in enumerate(self.dist[u]):   # ascending node order
                 nd = d + length
-                if nd < dist.get(v, math.inf):
+                if nd < dist[v]:
                     dist[v] = nd
                     parent[v] = u
                     heapq.heappush(heap, (nd, v))
-        self._sssp_cache[src] = (dist, parent)
+        self._trees[src] = (dist, parent)
         return dist, parent
 
     def path_to(self, src, dst):
-        """Node list src..dst along the shortest-path tree, or None."""
+        """Node list src..dst, the direct edge unless it is blocked; None
+        when ``dst`` is unreachable."""
         if src == dst:
             return [src]
-        dist, parent = self._sssp(src)
-        if dst not in dist:
+        if self.dist[src][dst] < math.inf:
+            return [src, dst]
+        parent = self._tree(src)[1]
+        if parent[dst] is None:
             return None
         path = [dst]
         while path[-1] != src:
@@ -117,57 +105,38 @@ class ModeGraph:
         return path
 
     def distance_m(self, src, dst):
-        if src == dst:
-            return 0.0
-        dist, _ = self._sssp(src)
-        return dist.get(dst, math.inf)
-
-    def edge_attr(self, i, j):
-        for (v, length, cap) in self._adj.get(i, ()):
-            if v == j:
-                return length, cap
-        raise KeyError(f"no allowed edge ({i}, {j}) in {self.mode} graph")
+        d = self.dist[src][dst]
+        return d if d < math.inf else self._tree(src)[0][dst]
 
     def travel_min(self, src, dst, speed_mps):
-        """Minutes along the cached shortest path at ``speed_mps`` (edge caps apply)."""
+        """Minutes along the shortest path at ``speed_mps``."""
         path = self.path_to(src, dst)
         if path is None:
             return math.inf
         total_s = 0.0
         for a, b in zip(path, path[1:]):
-            length, cap = self.edge_attr(a, b)
-            total_s += length / min(speed_mps, cap)
+            total_s += self.dist[a][b] / speed_mps
         return total_s / 60.0
 
 
-def shortest_path(g, i, j):
-    """Minimal-distance path in ``g``; (None, inf) when unreachable."""
-    if i not in g.nodes or j not in g.nodes:
-        raise KeyError(f"node {i if i not in g.nodes else j} not in graph")
-    path = g.path_to(i, j)
-    if path is None:
-        return None, math.inf
-    return path, g.distance_m(i, j)
-
-
-def apply_density(g, spec):
-    """Remove direct aerial customer-pair edges with probability ``spec.rho``.
+def apply_density(g, spec, customers):
+    """Block direct aerial edges between ``customers`` (node indices) with
+    probability ``spec.rho``.
 
     Blocking is symmetric, independent per unordered pair and reproducible
     for a fixed seed.  Ground graphs and depot-anchored edges are untouched.
+    Returns a graph with its own copy of the matrix (``g`` itself when
+    nothing can be blocked).
     """
     spec.validate()
     if g.mode != "UAV" or spec.rho == 0.0:
         return g
     rng = np.random.default_rng(spec.seed)
-    customers = sorted(i for i in g.nodes if g.is_customer(i))
-    blocked = set()
-    for i, j in itertools.combinations(customers, 2):
+    dist = [list(row) for row in g.dist]
+    for i, j in itertools.combinations(sorted(customers), 2):
         if rng.random() < spec.rho:
-            blocked.add((i, j))
-            blocked.add((j, i))
-    edges = [e for e in g.edges if (e[0], e[1]) not in blocked]
-    return ModeGraph(g.mode, g.nodes, g.kinds, edges)
+            dist[i][j] = dist[j][i] = math.inf
+    return ModeGraph(g.mode, g.xy, dist)
 
 
 def temporal_adjacency(inst, spec):
@@ -231,23 +200,12 @@ def edge_features(inst, g, mode, spec=None, speed_mps=None):
 # -- construction from instances ---------------------------------------------
 
 
-_KIND = {"pickup": "customer-pickup", "delivery": "customer-delivery",
-         "depot": "depot"}
-
-
-def _complete_graph(inst, mode):
-    nodes = {k: inst.node_xy(k) for k in range(inst.n_nodes)}
-    kinds = {k: _KIND[inst.node_kind(k)] for k in range(inst.n_nodes)}
-    edges = []
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                continue
-            d = inst.euclidean_km(i, j) * 1000.0
-            if d <= 0.0:               # coincident nodes still need an edge
-                d = 1e-9
-            edges.append((i, j, d, math.inf, True))
-    return ModeGraph(mode, nodes, kinds, edges)
+def _straight_line_m(xy):
+    """Dense matrix of straight-line lengths in metres, 0 on the diagonal;
+    coincident nodes still get a 1e-9 m edge."""
+    return [[0.0 if i == j else math.hypot(xi - xj, yi - yj) * 1000.0 or 1e-9
+             for j, (xj, yj) in enumerate(xy)]
+            for i, (xi, yi) in enumerate(xy)]
 
 
 @dataclass
@@ -267,52 +225,14 @@ class DualNetwork:
             return self.ground
         raise ValueError(f"unknown mode {mode!r}")
 
-    def distance_km(self, mode, i, j):
-        return self.graph(mode).distance_m(i, j) / 1000.0
-
-    def travel_min(self, mode, i, j, speed_mps):
-        return self.graph(mode).travel_min(i, j, speed_mps)
-
 
 def build_networks(inst, spec=None):
-    """Complete Euclidean graphs for both modes, with aerial density applied."""
+    """Both modes over one straight-line matrix, with aerial density applied."""
     spec = (spec or AdjacencySpec()).validate()
-    aerial = apply_density(_complete_graph(inst, "UAV"), spec)
-    ground = _complete_graph(inst, "ADR")
+    xy = [inst.node_xy(k) for k in range(inst.n_nodes)]
+    ground = ModeGraph("ADR", xy, _straight_line_m(xy))
+    aerial = apply_density(ModeGraph("UAV", xy, ground.dist), spec,
+                           range(2 * inst.n_customers))
     return DualNetwork(aerial=aerial, ground=ground, spec=spec,
                        temporal=temporal_adjacency(inst, spec),
                        spatial=spatial_adjacency(inst, spec))
-
-
-# -- graph files ----------------------------------------------------------------
-
-
-def save_graph(g, path):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "mode": g.mode,
-        "nodes": [{"id": i, "x_km": g.nodes[i][0], "y_km": g.nodes[i][1],
-                   "kind": g.kinds[i]} for i in sorted(g.nodes)],
-        "edges": [{"i": i, "j": j, "length_m": length, "speed_cap": cap,
-                   "allowed": allowed} for (i, j, length, cap, allowed) in g.edges],
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
-
-
-def load_graph(path):
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("graph file: top level must be a mapping")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"format_version: expected {FORMAT_VERSION}, got {doc.get('format_version')!r}")
-    try:
-        nodes = {n["id"]: (n["x_km"], n["y_km"]) for n in doc["nodes"]}
-        kinds = {n["id"]: n["kind"] for n in doc["nodes"]}
-        edges = [(e["i"], e["j"], e["length_m"], e["speed_cap"], e["allowed"])
-                 for e in doc["edges"]]
-    except KeyError as exc:
-        raise ValueError(f"graph file: missing field {exc}") from None
-    return ModeGraph(doc.get("mode", "ADR"), nodes, kinds, edges)

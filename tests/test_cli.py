@@ -310,6 +310,26 @@ def test_scenario_unknown_key_is_json_error(tmp_path, capsys, body, where,
     assert allowed in msg
 
 
+@pytest.mark.parametrize("body, name, val", [
+    ({"seed": 1.5}, "seed", "1.5"),
+    ({"generate": {"n_customers": 2.5}}, "generate.n_customers", "2.5"),
+    ({"generate": {"n_depots": "2"}}, "generate.n_depots", "'2'"),
+    ({"instance": {"n_customers": 3.0}}, "instance.n_customers", "3.0"),
+    ({"fleet": {"n_uav": 1.9}}, "fleet.n_uav", "1.9"),
+    ({"fleet": {"n_adr": True}}, "fleet.n_adr", "True"),
+    ({"fleet": {"start_depot": 6.5}}, "fleet.start_depot", "6.5"),
+    ({"adjacency": {"seed": 3.7}}, "adjacency.seed", "3.7"),
+    ({"physics": {"wind": {"seed": 0.5}}}, "physics.wind.seed", "0.5"),
+])
+def test_scenario_non_integer_count_or_seed_is_json_error(tmp_path, capsys,
+                                                          body, name, val):
+    scn = _write_scenario(tmp_path, **{"seed": 1, **body})
+    rc = cli.main(["solve", "--scenario", str(scn)])
+    assert rc == 1
+    msg = _last_json_error(capsys)["message"]
+    assert f"{name} must be an integer, got {val}" in msg
+
+
 @pytest.mark.parametrize("solver_cfg, flag", [
     ({"choice": "heuristic", "max_nodes": 1000}, []),
     ({"choice": "both", "time_budget": 5.0}, ["--solver", "heuristic"]),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cpdptw import env, instance, toy
-from cpdptw.energy import PhysicsConfig
+from cpdptw.energy import PhysicsConfig, WindState
 from cpdptw.instance import Customer, Depot, FleetSpec, Instance, Vehicle
 from cpdptw.network import AdjacencySpec, build_networks
+from cpdptw.policy import attention_scorer, random_weights
 from conftest import make_case
 
 
@@ -266,6 +267,73 @@ def test_rollout_rejects_policy_that_ignores_mask():
 
     with pytest.raises(RuntimeError, match="masked"):
         env.rollout(rogue, inst, fleet)
+
+
+def _blocked_case():
+    """N=20 at rho=0.3: 251 of the 780 customer pairs are blocked in the air."""
+    inst = instance.generate(n_customers=20, n_depots=2, seed=2)
+    fleet = instance.default_fleet(6, 4, inst.depot_nodes()[0])
+    return inst, fleet, build_networks(inst, AdjacencySpec(rho=0.3, seed=2))
+
+
+# scorer -> (repr(total), steps, visit trails); greedy rides 7 blocked UAV
+# legs, attention 8
+BLOCKED_ROLLOUT_PINS = {
+    "greedy": ("62.95851568728157", 53, [
+        [40, 8, 11, 28, 13, 10, 33, 0, 31, 30, 20, 40], [40, 19, 39, 40],
+        [40, 17, 37, 6, 26, 12, 32, 40], [40, 1, 21, 4, 24, 41],
+        [40, 9, 29, 41], [40, 3, 23, 41], [40, 16, 36, 2, 22, 40],
+        [40, 18, 38, 41, 14, 41, 34, 40], [40, 7, 27, 40],
+        [40, 5, 25, 40, 15, 35, 40]]),
+    "attention": ("72.97872682893768", 53, [
+        [40, 0, 20, 40], [40, 1, 6, 10, 21, 19, 26, 39, 40, 30, 40],
+        [40, 3, 8, 9, 23, 17, 37, 40, 11, 28, 29, 31, 4, 24, 40, 12, 32, 40],
+        [40, 13, 33, 40], [40], [40], [40, 2, 22, 5, 25, 40, 14, 41, 34, 40],
+        [40, 7, 27, 16, 36, 40, 15, 35, 40], [40, 18, 38, 40], [40]]),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(BLOCKED_ROLLOUT_PINS))
+def test_rollout_with_blocked_aerial_pairs_is_pinned(scorer):
+    total, steps, trail = BLOCKED_ROLLOUT_PINS[scorer]
+    inst, fleet, nets = _blocked_case()
+    policy = env.greedy_nearest if scorer == "greedy" \
+        else attention_scorer(random_weights(2))
+    sol = env.rollout(policy, inst, fleet, seed=2, nets=nets,
+                      physics=PhysicsConfig())
+    assert sol.complete
+    assert repr(sol.total) == total
+    assert sum(len(r.visits) - 1 for r in sol.routes) == steps
+    assert [[v.node for v in r.visits] for r in sol.routes] == trail
+
+
+# (i, j) -> detour, then on the first UAV: calm i->j minutes and kJ at load
+# 1; east wind j->i half-speed minutes and kJ empty, and i->j kJ at load 1
+BLOCKED_LEG_PINS = {
+    (0, 1): ([0, 5, 1], "2.4744951491854126", "0.7985705958013434",
+             "4.948990298370825", "2.062218482942604", "0.13097035854927708"),
+    (0, 2): ([0, 18, 2], "2.286355618337778", "0.7378540907428308",
+             "4.572711236675556", "1.4439174933961223", "0.3636218519999209"),
+    (0, 4): ([0, 33, 4], "2.0569195406919096", "0.6638103387135333",
+             "4.113839081383819", "0.8006057171347087", "1.247710710315179"),
+    (0, 7): ([0, 18, 7], "2.0489294948093915", "0.6612317861942515",
+             "4.097858989618783", "1.087542811876503", "0.8138425441342299"),
+}
+
+
+def test_blocked_legs_are_priced_along_the_detour_bit_for_bit():
+    inst, fleet, nets = _blocked_case()
+    uav = fleet.vehicles[0]
+    calm = env.LegCosts(inst, nets, PhysicsConfig())
+    east = env.LegCosts(inst, nets, PhysicsConfig(
+        wind=WindState(speed=12.0, course=0.0, model="constant")))
+    for (i, j), (path, t, e, t_back, e_back, e_wind) in BLOCKED_LEG_PINS.items():
+        assert nets.aerial.path_to(i, j) == path
+        assert repr(calm.time_min(uav, i, j)) == t
+        assert repr(calm.energy_kj(uav, i, j, 1.0)) == e
+        assert repr(east.time_min(uav, j, i, half=True)) == t_back
+        assert repr(east.energy_kj(uav, j, i, 0.0, half=True)) == e_back
+        assert repr(east.energy_kj(uav, i, j, 1.0)) == e_wind
 
 
 def test_greedy_nearest_prefers_customers_over_depots():

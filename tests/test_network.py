@@ -1,4 +1,4 @@
-"""Dual-mode graphs: shortest paths, adjacency, edge features, persistence."""
+"""Dual-mode graphs: blocked-pair detours, density, adjacency, edge features."""
 
 import itertools
 import math
@@ -8,24 +8,20 @@ import pytest
 
 from cpdptw import instance, toy
 from cpdptw.network import (AdjacencySpec, ModeGraph, apply_density,
-                            build_networks, edge_features, load_graph,
-                            save_graph, shortest_path, spatial_adjacency,
+                            build_networks, edge_features, spatial_adjacency,
                             temporal_adjacency)
+
+INF = math.inf
 
 
 def _grid_graph():
-    """4-node square with one diagonal shortcut and one forbidden edge."""
-    nodes = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0)}
-    kinds = {0: "depot", 1: "customer-pickup", 2: "customer-delivery",
-             3: "intermediary"}
-    edges = [
-        (0, 1, 1000.0, math.inf, True),   # no edge back into 0 anywhere
-        (1, 2, 1000.0, math.inf, True), (2, 1, 1000.0, math.inf, True),
-        (2, 3, 1000.0, math.inf, True), (3, 2, 1000.0, math.inf, True),
-        (0, 2, 1500.0, 5.0, True),      # capped diagonal shortcut
-        (0, 3, 1000.0, math.inf, False),  # physically present but not allowed
-    ]
-    return ModeGraph("ADR", nodes, kinds, edges)
+    """4-node square with one diagonal shortcut; no edge into 0, none 0 -> 3."""
+    xy = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    dist = [[0.0, 1000.0, 1500.0, INF],
+            [INF, 0.0, 1000.0, INF],
+            [INF, 1000.0, 0.0, 1000.0],
+            [INF, INF, 1000.0, 0.0]]
+    return ModeGraph("ADR", xy, dist)
 
 
 # -- shortest paths -----------------------------------------------------------
@@ -33,71 +29,69 @@ def _grid_graph():
 
 def test_shortest_path_prefers_the_shorter_route():
     g = _grid_graph()
-    path, dist = shortest_path(g, 0, 2)
-    assert path == [0, 2]
-    assert dist == 1500.0
-    # the direct 0 -> 3 edge is not allowed; the diagonal + one hop wins
-    path, dist = shortest_path(g, 0, 3)
-    assert path == [0, 2, 3]
-    assert dist == 2500.0
+    assert g.path_to(0, 2) == [0, 2]
+    assert g.distance_m(0, 2) == 1500.0
+    # 0 -> 3 is blocked: the diagonal + one hop beats going round the square
+    assert g.path_to(0, 3) == [0, 2, 3]
+    assert g.distance_m(0, 3) == 2500.0
+    assert g.travel_min(0, 3, 20.0) == (1500.0 / 20.0 + 1000.0 / 20.0) / 60.0
 
 
 def test_shortest_path_unreachable_and_unknown():
     g = _grid_graph()
-    assert shortest_path(g, 3, 0) == (None, math.inf)  # no edges into 0
-    with pytest.raises(KeyError, match="99"):
-        shortest_path(g, 0, 99)
+    assert g.path_to(3, 0) is None                 # no edges into 0
+    assert g.distance_m(3, 0) == INF
+    assert g.travel_min(3, 0, 20.0) == INF
+    with pytest.raises(IndexError):
+        g.path_to(0, 99)
 
 
-def test_dijkstra_matches_floyd_warshall_on_random_graphs():
-    rng = np.random.default_rng(0)
-    for trial in range(25):
-        n = int(rng.integers(3, 9))
-        nodes = {i: (float(i), 0.0) for i in range(n)}
-        kinds = {i: "intermediary" for i in range(n)}
-        edges = []
-        dist = [[math.inf] * n for _ in range(n)]
-        for i in range(n):
-            dist[i][i] = 0.0
+def _floyd_warshall(dist):
+    n = len(dist)
+    d = [list(row) for row in dist]
+    for k in range(n):
         for i in range(n):
             for j in range(n):
-                if i != j and rng.random() < 0.45:
-                    w = float(rng.uniform(1.0, 100.0))
-                    edges.append((i, j, w, math.inf, True))
-                    dist[i][j] = min(dist[i][j], w)
-        for k in range(n):          # reference all-pairs distances
-            for i in range(n):
-                for j in range(n):
-                    alt = dist[i][k] + dist[k][j]
-                    if alt < dist[i][j]:
-                        dist[i][j] = alt
-        g = ModeGraph("UAV", nodes, kinds, edges)
-        for i in range(n):
-            for j in range(n):
-                got = g.distance_m(i, j)
-                assert got == pytest.approx(dist[i][j], abs=1e-9), \
-                    (trial, i, j)
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
 
 
-def test_travel_min_applies_edge_speed_caps():
-    g = _grid_graph()
-    # direct diagonal: 1500 m at min(20, cap 5) = 5 m/s -> 300 s = 5 min
-    assert g.travel_min(0, 2, 20.0) == pytest.approx(1500.0 / 5.0 / 60.0)
-    # uncapped edge uses the vehicle speed
-    assert g.travel_min(0, 1, 20.0) == pytest.approx(1000.0 / 20.0 / 60.0)
-    assert g.travel_min(3, 0, 20.0) == math.inf
+def test_dijkstra_matches_floyd_warshall_on_blocked_instances():
+    for rho, seed in itertools.product((0.3, 1.0), range(6)):
+        inst = instance.generate(n_customers=3 + seed, n_depots=1 + seed % 2,
+                                 seed=seed)
+        nets = build_networks(inst, AdjacencySpec(rho=rho, seed=seed))
+        g = nets.aerial
+        ref = _floyd_warshall(g.dist)
+        n = inst.n_nodes
+        blocked = 0
+        for i, j in itertools.product(range(n), repeat=2):
+            path = g.path_to(i, j)
+            assert path[0] == i and path[-1] == j
+            assert g.distance_m(i, j) == pytest.approx(ref[i][j], rel=1e-12)
+            if g.dist[i][j] < INF:
+                assert path == ([i] if i == j else [i, j]), (seed, i, j)
+                continue
+            blocked += 1
+            along = 0.0                 # the detour's length, summed in order
+            for a, b in zip(path, path[1:]):
+                along += g.dist[a][b]
+            assert g.distance_m(i, j) == along, (seed, i, j)
+        assert blocked > 0, seed
 
 
-def test_edge_length_must_be_positive():
-    with pytest.raises(ValueError, match="length"):
-        ModeGraph("ADR", {0: (0, 0), 1: (1, 0)}, {0: "depot", 1: "depot"},
-                  [(0, 1, 0.0, math.inf, True)])
-
-
-def test_edge_attr_raises_for_missing_edge():
-    g = _grid_graph()
-    with pytest.raises(KeyError, match="no allowed edge"):
-        g.edge_attr(0, 3)
+def test_only_blocked_sources_search_and_only_on_first_use():
+    inst = instance.generate(n_customers=8, n_depots=2, seed=3)
+    nets = build_networks(inst, AdjacencySpec(rho=0.3, seed=3))
+    g = nets.aerial
+    assert not g._trees and not nets.ground._trees
+    n = inst.n_nodes
+    for i, j in itertools.product(range(n), repeat=2):
+        g.travel_min(i, j, 20.0)
+        nets.ground.travel_min(i, j, 8.3)
+    assert not nets.ground._trees
+    assert set(g._trees) == {i for i in range(n) if INF in g.dist[i]}
 
 
 # -- aerial density -----------------------------------------------------------
@@ -110,34 +104,39 @@ def _toy_networks(rho=0.0, seed=0, zeta=120.0, mu=10.0):
 
 
 def test_apply_density_zero_is_identity():
-    inst, nets = _toy_networks(rho=0.0)
-    full = 2 * inst.n_customers + 1
-    assert len(nets.aerial.edges) == full * (full - 1)
+    _, nets = _toy_networks(rho=0.0)
+    assert nets.aerial.dist is nets.ground.dist      # one shared matrix
+    assert not any(INF in row for row in nets.aerial.dist)
 
 
 def test_apply_density_one_blocks_every_customer_pair():
     inst, nets = _toy_networks(rho=1.0)
     nc = 2 * inst.n_customers
     for i, j in itertools.permutations(range(nc), 2):
-        assert not any(e[0] == i and e[1] == j for e in nets.aerial.edges)
+        assert nets.aerial.dist[i][j] == INF
         # still reachable through the depot hub
-        assert math.isfinite(nets.aerial.distance_m(i, j))
+        assert nets.aerial.path_to(i, j) == [i, toy.DEPOT_NODE, j]
     # depot-anchored edges survive
-    assert any(e[0] == toy.DEPOT_NODE for e in nets.aerial.edges)
+    assert INF not in nets.aerial.dist[toy.DEPOT_NODE]
     # ground graph is never touched
-    assert len(nets.ground.edges) == (nc + 1) * nc
+    assert not any(INF in row for row in nets.ground.dist)
 
 
 def test_apply_density_is_seed_reproducible_and_symmetric():
     inst, _ = toy.build_toy_instance()
     spec = AdjacencySpec(rho=0.5, seed=42)
-    a = apply_density(build_networks(inst).aerial, spec)
-    b = apply_density(build_networks(inst).aerial, spec)
-    assert a.edges == b.edges
-    kept = {(e[0], e[1]) for e in a.edges}
+    base = build_networks(inst).aerial
+    before = [list(row) for row in base.dist]
+    customers = range(2 * inst.n_customers)
+    a = apply_density(base, spec, customers)
+    b = apply_density(build_networks(inst).aerial, spec, customers)
+    assert a.dist == b.dist
+    assert base.dist == before                       # the base is copied
     nc = 2 * inst.n_customers
+    assert any(a.dist[i][j] == INF
+               for i, j in itertools.combinations(range(nc), 2))
     for i, j in itertools.combinations(range(nc), 2):
-        assert ((i, j) in kept) == ((j, i) in kept)
+        assert a.dist[i][j] == a.dist[j][i]
 
 
 # -- adjacency ----------------------------------------------------------------
@@ -228,46 +227,20 @@ def test_adjacency_spec_validation():
 def test_build_networks_distances_match_euclidean():
     inst = instance.generate(n_customers=3, n_depots=2, seed=4)
     nets = build_networks(inst)
-    for i in range(inst.n_nodes):
-        for j in range(inst.n_nodes):
-            if i == j:
-                continue
-            d = inst.euclidean_km(i, j)
-            assert nets.distance_km("UAV", i, j) == pytest.approx(d, abs=1e-9)
-            assert nets.distance_km("ADR", i, j) == pytest.approx(d, abs=1e-9)
+    for mode in ("UAV", "ADR"):
+        dist = nets.graph(mode).dist
+        for i in range(inst.n_nodes):
+            assert dist[i][i] == 0.0
+            for j in range(inst.n_nodes):
+                if i != j:
+                    assert dist[i][j] == inst.euclidean_km(i, j) * 1000.0
     with pytest.raises(ValueError, match="mode"):
         nets.graph("BOAT")
 
 
-# -- persistence --------------------------------------------------------------
-
-
-def test_graph_save_load_round_trip(tmp_path):
-    g = _grid_graph()
-    path = tmp_path / "graph.yaml"
-    save_graph(g, path)
-    back = load_graph(path)
-    assert back.mode == g.mode
-    assert back.nodes == g.nodes
-    assert back.kinds == g.kinds
-    assert back.edges == g.edges
-    assert back.distance_m(0, 3) == g.distance_m(0, 3)
-
-
-def test_graph_load_rejects_bad_version_and_missing_fields(tmp_path):
-    import yaml
-    g = _grid_graph()
-    path = tmp_path / "graph.yaml"
-    save_graph(g, path)
-    doc = yaml.safe_load(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ValueError, match="format_version"):
-        load_graph(path)
-
-    doc["format_version"] = 1
-    for e in doc["edges"]:
-        e.pop("length_m")
-    path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ValueError, match="length_m"):
-        load_graph(path)
+def test_coincident_nodes_keep_a_tiny_edge():
+    inst, _ = toy.build_toy_instance()
+    inst.customers[1].pickup_loc = inst.customers[0].pickup_loc
+    nets = build_networks(inst)
+    assert nets.ground.dist[0][1] == nets.ground.dist[1][0] == 1e-9
+    assert nets.ground.path_to(0, 1) == [0, 1]

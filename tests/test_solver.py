@@ -11,6 +11,7 @@ import pytest
 from cpdptw import env, instance, solver
 from cpdptw.energy import PhysicsConfig, WindState
 from cpdptw.instance import Customer, Depot, FleetSpec, Instance, Vehicle
+from cpdptw.network import build_networks
 from cpdptw.solver import (SolverLimits, gap, solve_enumerate, solve_exact,
                            solve_heuristic, validate)
 from conftest import make_case
@@ -284,6 +285,18 @@ def test_heuristic_logs_deterministic_trie_counts(caplog):
 
 
 # -- validation ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("other_n", [3, 4])
+@pytest.mark.parametrize("entry", ["solve_exact", "solve_heuristic", "reset"])
+def test_networks_of_another_instance_are_rejected(entry, other_n):
+    inst, fleet = make_case(n=3, seed=1)
+    other, _ = make_case(n=other_n, seed=5)
+    nets = build_networks(other)
+    run = {"solve_exact": solve_exact, "solve_heuristic": solve_heuristic,
+           "reset": env.reset}[entry]
+    with pytest.raises(ValueError, match="another instance"):
+        run(inst, fleet, nets)
 
 
 def test_validate_flags_tampered_solutions():
