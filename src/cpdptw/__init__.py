@@ -8,9 +8,8 @@ insertion heuristic), ``policy`` (inference-only attention scorer),
 example) and ``cli`` (batch entry point).
 """
 
-from .coalition import (Coalition, CoalitionTable, characteristic,
-                        check_convexity, check_subadditivity, coalition_sweep,
-                        core_check)
+from .coalition import (Coalition, CoalitionTable, check_convexity,
+                        check_subadditivity, coalition_sweep, core_check)
 from .energy import (AdrParams, PhysicsConfig, UavParams, WindState,
                      adr_power, effective_airspeed, leg_energy, uav_power)
 from .env import (Solution, episode_cost, feasible_mask, greedy_nearest,
@@ -35,7 +34,7 @@ __all__ = [
     "Instance", "PhysicsConfig", "SolveReport", "SolverLimits", "Solution",
     "UavParams", "Vehicle", "WeightSet", "WindState", "adr_power",
     "apply_density", "attention_scorer", "build_networks",
-    "build_toy_instance", "characteristic", "check_convexity",
+    "build_toy_instance", "check_convexity",
     "check_subadditivity", "coalition_sweep", "core_check", "decode_scores",
     "default_fleet", "edge_features", "effective_airspeed", "encode",
     "episode_cost", "feasible_mask", "gap", "gat_layer", "generate",

@@ -373,6 +373,9 @@ def cmd_rollout(args):
 
 
 def cmd_coalition(args):
+    for flag, value in (("--m", args.m), ("--n", args.n)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     scn, seed, out_dir, inst, fleet, physics, nets = _prepare(args)
     _reject_limits(scn, "a coalition sweep runs its solvers without limits")
     uavs = [v for v in fleet.vehicles if v.mode == "UAV"]

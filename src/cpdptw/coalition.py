@@ -7,7 +7,8 @@ coalition into two disjoint parts and letting each part work alone:
     C(S) = min( min over proper bipartitions S1 ∪ S2 = S of C(S1) + C(S2),
                 routing cost of S operating jointly ).
 
-Values are memoized bottom-up over subset size.  Coalitions that cannot
+The table is built bottom-up over subset size, so both parts of every
+bipartition are priced before the coalition itself.  Coalitions that cannot
 cover the demand at all get +inf, which drops them out of every min.  On
 top of the resulting table the module checks sub-additivity and convexity
 (with explicit witnesses on failure) and decides core non-emptiness as an
@@ -18,17 +19,16 @@ coalition could do strictly better on its own).
 
 ``coalition_sweep`` evaluates a whole m-by-n fleet grid and reports, per
 cell, the cooperative cost, the gain over everyone working alone, and the
-core verdict -- ready to plot as a contour matrix.  Vehicles of the same
-mode are interchangeable by default, so values collapse onto (number of
-UAVs, number of ADRs) classes; per-agent tables remain available for
-heterogeneous fleets via ``homogeneous=False``.
+core verdict -- ready to plot as a contour matrix.  Every coalition is
+priced with its own vehicles; coalitions whose vehicles have equal fields
+share one solve.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -122,9 +122,7 @@ class CoalitionTable:
 
 def _solver_cost(inst, vehicles, nets, physics, solver_choice):
     """Joint routing cost of an explicit vehicle list (inf when infeasible)."""
-    if not vehicles:
-        return math.inf
-    fleet = FleetSpec(list(vehicles))
+    fleet = FleetSpec(vehicles)
     choice = solver_choice
     if choice is None:
         choice = "exact" if 2 * inst.n_customers <= EXACT_NODE_LIMIT \
@@ -143,78 +141,28 @@ def _split_pool(fleet_pool):
             [v for v in vehicles if v.mode == "ADR"])
 
 
-def _bipartitions(members):
-    """Proper unordered bipartitions of a member tuple (first element pinned)."""
-    rest = members[1:]
-    for k in range(len(rest) + 1):
-        for combo in combinations(rest, k):
-            chosen = set(combo)
-            side1 = (members[0],) + combo
-            side2 = tuple(m for m in rest if m not in chosen)
-            if side2:
-                yield side1, side2
-
-
-def characteristic(S, inst, fleet_pool, nets=None, physics=None,
-                   solver_choice=None, cache=None, cost_fn=None,
-                   homogeneous=True):
-    """Characteristic cost C(S) of a coalition over a fixed vehicle pool.
-
-    ``fleet_pool`` supplies the agents the ids in ``S`` refer to (UAV id i is
-    the i-th UAV of the pool, ADR id j the j-th ADR).  ``cost_fn``, when
-    given, replaces the solver as the joint-operation cost: it is called as
-    ``cost_fn(uav_ids, adr_ids)`` with frozensets and may return +inf for
-    coalitions it does not define.  With ``homogeneous`` (the default) the
-    value depends only on how many vehicles of each mode participate, and
-    the memo ``cache`` collapses accordingly.
-    """
-    if S.size == 0:
-        return 0.0
-    uav_pool, adr_pool = _split_pool(fleet_pool)
-    if S.uavs and max(S.uavs) >= len(uav_pool):
-        raise ValueError(f"coalition {S.label()} references UAV id "
-                         f"{max(S.uavs)} outside the pool of {len(uav_pool)}")
-    if S.adrs and max(S.adrs) >= len(adr_pool):
-        raise ValueError(f"coalition {S.label()} references ADR id "
-                         f"{max(S.adrs)} outside the pool of {len(adr_pool)}")
-    memo = cache if cache is not None else {}
-
-    def joint_cost(coalition):
-        if cost_fn is not None:
-            return cost_fn(coalition.uavs, coalition.adrs)
-        vehicles = [uav_pool[i] for i in sorted(coalition.uavs)] \
-            + [adr_pool[j] for j in sorted(coalition.adrs)]
-        return _solver_cost(inst, vehicles, nets, physics, solver_choice)
-
-    def key_of(coalition):
-        if homogeneous:
-            return ("class", len(coalition.uavs), len(coalition.adrs))
-        return ("set", coalition.uavs, coalition.adrs)
-
-    def value(coalition):
-        key = key_of(coalition)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = joint_cost(coalition)
-        for side1, side2 in _bipartitions(coalition.members()):
-            part = value(_coalition_of(side1)) + value(_coalition_of(side2))
-            if part < best:
-                best = part
-        memo[key] = best
-        return best
-
-    return value(S)
-
-
-def _coalition_of(members):
-    return Coalition(frozenset(i for m, i in members if m == "UAV"),
-                     frozenset(j for m, j in members if m == "ADR"))
+def _bipartitions(coalition):
+    """Proper unordered bipartitions (S1, S2), S1 holding the first member."""
+    members = coalition.members()
+    for side1 in _subsets(members):
+        side2 = Coalition(coalition.uavs - side1.uavs, coalition.adrs - side1.adrs)
+        if side2.size and members[0] in side1.members():
+            yield side1, side2
 
 
 def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
-                cache=None, cost_fn=None, homogeneous=True):
-    """Characteristic table over every subset of the pool's vehicles."""
+                cache=None, cost_fn=None):
+    """Characteristic table over every subset of the pool's vehicles.
+
+    UAV id i is the i-th UAV of ``fleet_pool``, ADR id j its j-th ADR.
+    Coalitions are priced smallest first, so both parts of every
+    bipartition are already in the table.  The joint cost of a coalition
+    comes from ``cost_fn(uav_ids, adr_ids)`` when given (frozensets; +inf
+    for coalitions it does not define), else from the solver on the
+    coalition's vehicles.  ``cache`` memoises joint costs on what they
+    depend on: the ids for ``cost_fn``, the vehicles' fields for the
+    solver.  Tables over the same inputs may share it.
+    """
     uav_pool, adr_pool = _split_pool(fleet_pool)
     tbl = CoalitionTable(uav_ids=tuple(range(len(uav_pool))),
                          adr_ids=tuple(range(len(adr_pool))))
@@ -222,10 +170,23 @@ def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
     for coalition in tbl.subsets():
         if coalition.size == 0:
             continue
-        tbl.costs[coalition] = characteristic(
-            coalition, inst, fleet_pool, nets=nets, physics=physics,
-            solver_choice=solver_choice, cache=memo, cost_fn=cost_fn,
-            homogeneous=homogeneous)
+        if cost_fn is not None:
+            key = (coalition.uavs, coalition.adrs)
+            if key not in memo:
+                memo[key] = cost_fn(*key)
+        else:
+            vehicles = [uav_pool[i] for i in sorted(coalition.uavs)] \
+                + [adr_pool[j] for j in sorted(coalition.adrs)]
+            key = tuple(astuple(v) for v in vehicles)
+            if key not in memo:
+                memo[key] = _solver_cost(inst, vehicles, nets, physics,
+                                         solver_choice)
+        best = memo[key]
+        for side1, side2 in _bipartitions(coalition):
+            part = tbl.costs[side1] + tbl.costs[side2]
+            if part < best:
+                best = part
+        tbl.costs[coalition] = best
     return tbl
 
 
@@ -430,7 +391,7 @@ class SweepResult:
 
 
 def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
-                    physics=None, cost_fn=None, homogeneous=True):
+                    physics=None, cost_fn=None):
     """Gain matrix over every sub-fleet of d <= m UAVs and r <= n ADRs.
 
     Per cell: the grand-coalition cost of the (d, r) sub-fleet, the gain of
@@ -452,7 +413,7 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
                 pool = uav_pool[:d] + adr_pool[:r]
                 tbl = build_table(inst, pool, nets=nets, physics=physics,
                                   solver_choice=solver_choice, cache=cache,
-                                  cost_fn=cost_fn, homogeneous=homogeneous)
+                                  cost_fn=cost_fn)
                 check_subadditivity(tbl)
                 check_convexity(tbl)
                 grand_cost = tbl.cost(tbl.grand())

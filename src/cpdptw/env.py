@@ -165,19 +165,16 @@ class SimState:
     load: np.ndarray         # units
     battery: np.ndarray      # kJ
     visited: np.ndarray      # bool per node (customers only meaningful)
-    demand: np.ndarray       # remaining demand per node
     carrying: list           # per vehicle: set of customer ids on board
     t: int = 0
-    battery_dipped: np.ndarray = None
     visits: list = None      # per vehicle: list of Visit
 
     def copy(self):
         return SimState(
             self.inst, self.fleet, self.nets, self.physics, self.legs,
             self.pos.copy(), self.clock.copy(), self.load.copy(),
-            self.battery.copy(), self.visited.copy(), self.demand.copy(),
+            self.battery.copy(), self.visited.copy(),
             [set(c) for c in self.carrying], self.t,
-            self.battery_dipped.copy(),
             [list(v) for v in self.visits])
 
     def all_served(self):
@@ -207,14 +204,12 @@ def reset(inst, fleet, nets=None, physics=None):
     n = inst.n_nodes
     pos = np.array([v.start_depot for v in fleet.vehicles], dtype=int)
     battery = np.array([v.battery for v in fleet.vehicles], dtype=float)
-    demand = np.array([inst.node_demand(k) for k in range(n)], dtype=float)
     state = SimState(
         inst=inst, fleet=fleet, nets=nets, physics=physics,
         legs=LegCosts(inst, nets, physics),
         pos=pos, clock=np.zeros(nv), load=np.zeros(nv), battery=battery,
-        visited=np.zeros(n, dtype=bool), demand=demand,
+        visited=np.zeros(n, dtype=bool),
         carrying=[set() for _ in range(nv)], t=0,
-        battery_dipped=np.zeros(nv, dtype=bool),
         visits=[[Visit(int(v.start_depot), 0.0, 0.0, v.battery, 0.0, v.battery)]
                 for v in fleet.vehicles])
     return state
@@ -358,10 +353,6 @@ def step(s, action):
         else:
             s.carrying[k].discard(j - inst.n_customers)
         s.visited[j] = True
-        s.demand[j] = 0.0
-
-    if min(battery_arr, battery_after) < veh.battery_floor * veh.battery - 1e-9:
-        s.battery_dipped[k] = True
     s.pos[k] = j
     s.clock[k] = departure
     s.load[k] = load_after

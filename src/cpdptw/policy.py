@@ -341,18 +341,16 @@ def decode_scores(h, vehicle_states, weights, mask=None):
 def attention_scorer(weights):
     """Adapt a weight set into a rollout policy ``(state, mask) -> scores``.
 
-    The encoder runs once per instance (embeddings do not depend on the
-    simulator state); the decoder runs every step on the current vehicle
-    states.
+    The encoder runs again only when the instance or the networks object
+    changes (embeddings do not depend on the simulator state); the decoder
+    runs every step on the current vehicle states.
     """
     weights.validate()
-    cache = {}
+    last = [None, None, None]   # instance, networks, their encoding
     def policy(state, mask):
-        key = id(state.inst)
-        enc = cache.get(key)
-        if enc is None:
-            enc = encode(state.inst, state.nets, weights)
-            cache[key] = enc
+        if last[0] is not state.inst or last[1] is not state.nets:
+            last[:] = state.inst, state.nets, encode(state.inst, state.nets,
+                                                     weights)
         states = np.stack([state.clock, state.load, state.battery], axis=1)
-        return decode_scores(enc, states, weights, mask)
+        return decode_scores(last[2], states, weights, mask)
     return policy

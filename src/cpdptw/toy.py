@@ -150,7 +150,7 @@ def toy_cost_fn(inst, beta=TOY_BETA):
 def toy_characteristic():
     """Characteristic table of the example, with all checks filled in."""
     inst, fleet = build_toy_instance()
-    tbl = build_table(inst, fleet, cost_fn=toy_cost_fn(inst), homogeneous=False)
+    tbl = build_table(inst, fleet, cost_fn=toy_cost_fn(inst))
     check_subadditivity(tbl)
     check_convexity(tbl)
     core_check(tbl)

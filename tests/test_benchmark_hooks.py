@@ -1,6 +1,9 @@
-"""The benchmark's tracing hooks still find the package attributes they wrap."""
+"""The benchmark's tracing hooks still find the package attributes they wrap,
+and its coalition sweep still reproduces the recorded optima."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -22,3 +25,15 @@ def test_benchmark_hooks_name_existing_attributes():
     with tracing.Recorder("count"):
         pass
     assert [owner.__dict__[attr] for owner, attr, _name in hooks] == before
+
+
+def test_coalition_sweep_reproduces_the_benchmark_reference(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cases", TRACING.with_name("cases.py"))
+    cases = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, cases)   # for its dataclasses
+    spec.loader.exec_module(cases)
+    case = cases.build_inputs("coalition-sweep", 1)[0]
+    cases.run_case("coalition-sweep", case)
+    reference = json.loads(cases.REFERENCE.read_text())
+    assert cases.optima("coalition-sweep", case) == reference["coalition-sweep"][0]

@@ -372,6 +372,21 @@ def test_coalition_rejects_solver_limits(tmp_path, capsys):
     assert not (tmp_path / "o" / "coalition.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--m", "--n"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_coalition_rejects_sweep_sizes_below_one(tmp_path, capsys, flag, value):
+    scn = _write_scenario(tmp_path, seed=1,
+                          generate={"n_customers": 1, "n_depots": 1},
+                          fleet={"n_uav": 2, "n_adr": 2})
+    sizes = {"--m": "1", "--n": "1", flag: value}
+    rc = cli.main(["coalition", "--scenario", str(scn), "--m", sizes["--m"],
+                   "--n", sizes["--n"], "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert _last_json_error(capsys)["message"] == \
+        f"{flag} must be >= 1, got {value}"
+    assert not (tmp_path / "o" / "coalition.csv").exists()
+
+
 def test_scenario_missing_instance_file_is_json_error(tmp_path, capsys):
     scn = _write_scenario(tmp_path, seed=1,
                           instance=str(tmp_path / "ghost.yaml"))

@@ -1,13 +1,14 @@
 """Cooperative-game layer: characteristic tables, checks, core, sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cpdptw import instance, toy
+from cpdptw import coalition, instance, toy
 from cpdptw.coalition import (Coalition, CoalitionTable, agent_label,
-                              build_table, characteristic, check_convexity,
+                              build_table, check_convexity,
                               check_subadditivity, coalition_sweep, core_check,
                               sweep_summary, sweep_to_csv)
 from cpdptw.solver import solve_exact
@@ -150,35 +151,62 @@ def test_table_cost_lookup_errors():
         tbl.cost(Coalition.of(uavs=[0]))
 
 
-def test_characteristic_rejects_out_of_pool_ids():
+def test_table_rejects_out_of_pool_ids():
     inst = instance.generate(n_customers=1, seed=0)
     pool = instance.default_fleet(1, 1, inst.depot_nodes()[0])
-    with pytest.raises(ValueError, match="outside the pool"):
-        characteristic(Coalition.of(uavs=[5]), inst, pool)
+    tbl = build_table(inst, pool, cost_fn=lambda uavs, adrs: 1.0)
+    with pytest.raises(ValueError, match="incomplete"):
+        tbl.cost(Coalition.of(uavs=[5]))
 
 
-def test_characteristic_takes_cheapest_partition():
+def test_table_takes_cheapest_partition():
     def cost_fn(uavs, adrs):
         return 5.0 if len(uavs) == 2 else 1.0
     inst = instance.generate(n_customers=1, seed=0)
     pool = instance.default_fleet(2, 1, inst.depot_nodes()[0])
-    c = characteristic(Coalition.of(uavs=[0, 1]), inst, pool, cost_fn=cost_fn)
-    assert c == pytest.approx(2.0)    # split beats the joint plan
+    tbl = build_table(inst, pool, cost_fn=cost_fn)
+    assert tbl.cost(Coalition.of(uavs=[0, 1])) == pytest.approx(2.0)  # split wins
 
 
-def test_homogeneous_cache_collapses_by_composition():
+def _uav_pair(depot):
+    """A default UAV, one whose 0.5 kJ battery cannot serve alone, an ADR."""
+    uav, adr = instance.default_fleet(1, 1, depot).vehicles
+    return uav, dataclasses.replace(uav, battery=0.5), adr
+
+
+@pytest.mark.parametrize("equal, solves", [(True, 5), (False, 7)])
+def test_equal_vehicles_share_one_solve(monkeypatch, equal, solves):
+    inst = instance.generate(2, n_depots=1, seed=5)
+    uav, weak, adr = _uav_pair(inst.depot_nodes()[0])
     calls = []
 
-    def cost_fn(uavs, adrs):
-        calls.append((len(uavs), len(adrs)))
-        return 10.0 / (len(uavs) + len(adrs))
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_exact(*args, **kwargs)
+    monkeypatch.setattr(coalition, "solve_exact", counted)
+    build_table(inst, [uav, uav if equal else weak, adr])
+    assert len(calls) == solves
 
-    inst = instance.generate(n_customers=1, seed=0)
-    pool = instance.default_fleet(2, 1, inst.depot_nodes()[0])
-    build_table(inst, pool, cost_fn=cost_fn, homogeneous=True)
-    # compositions: (1,0) (2,0) (0,1) (1,1) (2,1) - one joint pricing each
-    assert sorted(set(calls)) == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-    assert len(calls) == 5
+
+def test_unequal_vehicles_are_each_priced_as_they_are():
+    inst = instance.generate(2, n_depots=1, seed=5)
+    uav, weak, adr = _uav_pair(inst.depot_nodes()[0])
+    tbl = build_table(inst, [uav, weak, adr])
+    for vehicle, single in ((uav, Coalition.of(uavs=[0])),
+                            (weak, Coalition.of(uavs=[1])),
+                            (adr, Coalition.of(adrs=[0]))):
+        alone = solve_exact(inst, FleetSpec([vehicle]))
+        want = alone.solution.total if alone.feasible else math.inf
+        assert tbl.cost(single) == pytest.approx(want, abs=1e-9), single.label()
+    assert math.isfinite(tbl.cost(Coalition.of(uavs=[0])))
+    assert math.isinf(tbl.cost(Coalition.of(uavs=[1])))
+
+    # reversing the pool swaps the UAV labels and nothing else
+    rev = build_table(inst, [adr, weak, uav])
+    swap = {0: 1, 1: 0}
+    for s in tbl.subsets():
+        t = Coalition.of(uavs=[swap[i] for i in s.uavs], adrs=s.adrs)
+        assert rev.cost(t) == pytest.approx(tbl.cost(s), abs=1e-9), s.label()
 
 
 def test_build_table_solver_backend_on_single_customer():
@@ -302,8 +330,7 @@ def test_core_check_agrees_with_reference_lp_solver():
 
 def test_sweep_over_reference_costs(tmp_path):
     inst, fleet = toy.build_toy_instance()
-    sweep = coalition_sweep(inst, fleet, cost_fn=toy.toy_cost_fn(inst),
-                            homogeneous=False)
+    sweep = coalition_sweep(inst, fleet, cost_fn=toy.toy_cost_fn(inst))
     assert (sweep.m, sweep.n) == (2, 1)
     assert len(sweep.cells) == 2
     full = sweep.cell(2, 1)

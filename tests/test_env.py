@@ -31,7 +31,6 @@ def test_reset_initial_state():
     assert s.battery.tolist() == [v.battery for v in fleet.vehicles]
     assert not s.visited.any()
     assert all(len(c) == 0 for c in s.carrying)
-    assert not s.battery_dipped.any()
     assert [len(v) for v in s.visits] == [1, 1, 1]
     assert s.step_limit() == env.STEP_LIMIT_FACTOR * 2 * inst.n_customers
     assert not s.all_served() and s.all_parked() and not s.terminal()
@@ -42,7 +41,6 @@ def test_reset_twice_is_identical():
     _, _, b = _toy_state()
     assert a.pos.tolist() == b.pos.tolist()
     assert a.battery.tolist() == b.battery.tolist()
-    assert a.demand.tolist() == b.demand.tolist()
 
 
 # -- masking rules --------------------------------------------------------------
@@ -188,7 +186,13 @@ def test_battery_dip_flag_sets_once():
     # floor at 90 percent (5.85 kJ): the 3 km leg burns ~0.81 kJ and dips
     fleet = FleetSpec([Vehicle("UAV", 20.0, 5.0, 6.5, 0.65, 0.9, 2)])
     s = env.step(env.reset(inst, fleet), (0, 0))
-    assert bool(s.battery_dipped[0])
+    assert s.visits[0][-1].battery_arrival < 0.9 * 6.5
+    s = env.step(s, (0, 1))          # a second dip, at the delivery
+    assert s.visits[0][-1].battery_arrival < 0.9 * 6.5
+    sol = env.Solution(routes=[env.Route(fleet.vehicles[0], s.visits[0])],
+                       breakdown={}, total=0.0, complete=False)
+    cost = env.episode_cost(sol, inst)
+    assert cost["battery_penalty"] == inst.cost_weights.lambda_battery
 
 
 # -- cost decomposition -----------------------------------------------------------

@@ -257,3 +257,20 @@ def test_argmax_is_equivariant_under_customer_relabeling():
     k, j = np.unravel_index(int(np.argmax(P)), P.shape)
     kp, jp = np.unravel_index(int(np.argmax(P_p)), P_p.shape)
     assert (kp, jp) == (k, perm[j])
+
+
+def test_attention_scorer_encodes_each_network_it_is_given():
+    """A scorer reused on new networks of the same instance re-encodes."""
+    inst, fleet = make_case(n=8, n_depots=2, seed=7, n_uav=3, n_adr=2)
+    weights = random_weights(7)
+    calm = build_networks(inst, AdjacencySpec(seed=7))
+    blocked = build_networks(inst, AdjacencySpec(rho=0.6, zeta=20, mu=1.5,
+                                                 seed=7))
+    reused = attention_scorer(weights)
+    env.rollout(reused, inst, fleet, seed=7, nets=calm)
+    again = env.rollout(reused, inst, fleet, seed=7, nets=blocked)
+    fresh = env.rollout(attention_scorer(weights), inst, fleet, seed=7,
+                        nets=blocked)
+    assert again.total == fresh.total
+    assert [v.node for r in again.routes for v in r.visits] == \
+        [v.node for r in fresh.routes for v in r.visits]
