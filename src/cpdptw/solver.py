@@ -1,7 +1,10 @@
 """Exact branch-and-bound and construct-and-improve solvers.
 
-Both solvers (and the exhaustive enumeration used as a testing oracle) walk
-the same route space through one shared move generator:
+Both solvers walk the same route space through one shared move generator.
+So does the testing oracle, ``solve_enumerate``: it enumerates every closed
+route of each distinct vehicle once, then partitions the customer pairs over
+those routes by dynamic programming, which is exact because vehicles start
+fresh and their routes never interact.  The moves are:
 
 * a *direct* move serves the next customer straight away;
 * a *composite* move (depot, customer) tops the battery up first — offered
@@ -193,22 +196,20 @@ def _replay(ctx, k, moves, end_depot):
 
 
 # ---------------------------------------------------------------------------
-# branch and bound / exhaustive enumeration
+# branch and bound
 
 
 class _Search:
-    def __init__(self, ctx, limits, use_bound):
+    def __init__(self, ctx, limits):
         self.ctx = ctx
         self.limits = limits
-        self.use_bound = use_bound
         self.nv = len(ctx.fleet.vehicles)
         self.best_cost = math.inf
         self.best_plan = None
         self.nodes = 0
         self.stopped = False
         self.t0 = _time.perf_counter()
-        if use_bound:
-            self._prepare_bound()
+        self._prepare_bound()
 
     def _prepare_bound(self):
         """suffix_in[k][v]: cheapest alpha-weighted entering arc of node v
@@ -232,8 +233,6 @@ class _Search:
         self.half_ret = half_ret
 
     def _bound(self, k, rs, unserved):
-        if not self.use_bound:
-            return 0.0
         ctx = self.ctx
         total = 0.0
         row = self.suffix_in[min(k, self.nv - 1)]
@@ -273,10 +272,9 @@ class _Search:
                 self.best_cost = cost
                 self.best_plan = [(list(mv), end) for mv, end in plans]
             return
-        if self.use_bound:
-            unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
-            if cost + self._bound(k, None, unserved) >= self.best_cost:
-                return
+        unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
+        if cost + self._bound(k, None, unserved) >= self.best_cost:
+            return
         self._route(k, ctx.fresh(k), served, cost, plans, [])
 
     def _route(self, k, rs, served, cost, plans, trail):
@@ -284,10 +282,9 @@ class _Search:
             return
         self._tick()
         ctx = self.ctx
-        if self.use_bound:
-            unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
-            if cost + self._bound(k, rs, unserved) >= self.best_cost:
-                return
+        unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
+        if cost + self._bound(k, rs, unserved) >= self.best_cost:
+            return
         n_cust = ctx.legs.n_cust
         carried = rs[4]
         candidates = sorted([p + n_cust for p in carried]
@@ -303,20 +300,22 @@ class _Search:
             plans.pop()
 
 
-def _report(ctx, search):
-    wall = _time.perf_counter() - search.t0
-    if search.best_plan is None:
-        return SolveReport(solution=None, proven_optimal=not search.stopped,
-                           nodes_expanded=search.nodes, wall_time=wall,
+def _report(ctx, plan, nodes, t0, proven):
+    """SolveReport of a ``(moves, end_depot)`` plan per vehicle (None when
+    infeasible); the total is the replayed plan's episode cost."""
+    wall = _time.perf_counter() - t0
+    if plan is None:
+        return SolveReport(solution=None, proven_optimal=proven,
+                           nodes_expanded=nodes, wall_time=wall,
                            feasible=False)
     routes = [Route(vehicle=ctx.fleet.vehicles[k],
                     visits=_replay(ctx, k, mv, end))
-              for k, (mv, end) in enumerate(search.best_plan)]
+              for k, (mv, end) in enumerate(plan)]
     sol = Solution(routes=routes, breakdown={}, total=0.0, complete=True)
     sol.breakdown = episode_cost(sol, ctx.inst)
     sol.total = sol.breakdown["total"]
-    return SolveReport(solution=sol, proven_optimal=not search.stopped,
-                       nodes_expanded=search.nodes, wall_time=wall)
+    return SolveReport(solution=sol, proven_optimal=proven,
+                       nodes_expanded=nodes, wall_time=wall)
 
 
 def _make_ctx(inst, fleet, nets, physics):
@@ -339,16 +338,97 @@ def solve_exact(inst, fleet, nets=None, physics=None, limits=None):
     """
     limits = (limits or SolverLimits()).validate()
     ctx = _make_ctx(inst, fleet, nets, physics)
-    search = _Search(ctx, limits, use_bound=True).run()
-    return _report(ctx, search)
+    search = _Search(ctx, limits).run()
+    return _report(ctx, search.best_plan, search.nodes, search.t0,
+                   not search.stopped)
+
+
+# ---------------------------------------------------------------------------
+# enumeration oracle: route tables and a set-partition DP
+
+
+def _route_table(ctx, k):
+    """Every closed route of vehicle ``k``, cheapest per served pair set.
+
+    A depth-first walk from the fresh state through the same moves as the
+    search, offering the carried deliveries and every pickup this route
+    has not served.  Returns ``(table, nodes)``: ``table`` maps the
+    bitmask of served pairs to ``(cost, moves, end_depot)``, keeping the
+    first strictly cheaper route in walk order, and ``nodes`` counts the
+    walk's nodes.
+    """
+    n_cust = ctx.legs.n_cust
+    table = {}
+    nodes = 0
+
+    def walk(rs, served, cost, trail):
+        nonlocal nodes
+        nodes += 1
+        candidates = sorted([p + n_cust for p in rs[4]]
+                            + [p for p in range(n_cust) if not served >> p & 1])
+        for move, rs2, dcost in _successors(ctx, k, rs, candidates):
+            c = move[1]
+            trail.append(move)
+            walk(rs2, served | (1 << c) if c < n_cust else served,
+                 cost + dcost, trail)
+            trail.pop()
+        for d, dcost in _end_moves(ctx, k, rs):
+            total = cost + dcost
+            if served not in table or total < table[served][0]:
+                table[served] = (total, list(trail), d)
+
+    walk(ctx.fresh(k), 0, 0.0, [])
+    return table, nodes
 
 
 def solve_enumerate(inst, fleet, nets=None, physics=None):
-    """Exhaustive enumeration of the same route space — no bound, no
-    incumbent pruning.  Intended as a correctness oracle for small cases."""
+    """Exhaustive enumeration of the same route space, as a correctness
+    oracle for small cases.
+
+    Every vehicle starts fresh from its depot and no two routes interact,
+    so the optimum is a set partition of the customer pairs over the
+    vehicles' cheapest closed routes (Balinski & Quandt 1964).  Each
+    distinct vehicle's routes are enumerated once into a table (see
+    ``_route_table``); a DP from the last vehicle to the first then takes,
+    for every pair set S, the cheapest split of S into a route of vehicle
+    k and a set the later vehicles serve, scanning both in insertion order
+    with strict ``<``.  The winning plan is replayed, so its total is
+    computed exactly as the search's is.  ``nodes_expanded`` counts the
+    table walks' nodes; vehicles with equal fields share one table.
+    """
     ctx = _make_ctx(inst, fleet, nets, physics)
-    search = _Search(ctx, SolverLimits(), use_bound=False).run()
-    return _report(ctx, search)
+    t0 = _time.perf_counter()
+    nv = len(fleet.vehicles)
+    tables, nodes = {}, 0
+    for k in range(nv):
+        if ctx.kind[k] not in tables:
+            tables[ctx.kind[k]], walked = _route_table(ctx, k)
+            nodes += walked
+    # levels[k][S] = (cost, T): vehicles k.. serve pair set S at ``cost``,
+    # vehicle k taking its table's route for T
+    best = {0: (0.0, 0)}
+    levels = [None] * nv
+    for k in reversed(range(nv)):
+        level = {}
+        for t, (cost_t, _, _) in tables[ctx.kind[k]].items():
+            for r, (cost_r, _) in best.items():
+                if t & r:
+                    continue
+                cost = cost_t + cost_r
+                s = t | r
+                if s not in level or cost < level[s][0]:
+                    level[s] = (cost, t)
+        levels[k] = best = level
+    s = (1 << ctx.legs.n_cust) - 1
+    plan = None
+    if s in best:
+        plan = []
+        for k in range(nv):
+            t = levels[k][s][1]
+            _, moves, end = tables[ctx.kind[k]][t]
+            plan.append((moves, end))
+            s ^= t
+    return _report(ctx, plan, nodes, t0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +825,23 @@ def validate(sol, inst, fleet, nets=None, physics=None):
     seen = {}
     pickup_times = {}
     delivery_times = {}
+    if len(sol.routes) != len(fleet.vehicles):
+        out.append(f"{len(sol.routes)} routes for a fleet of "
+                   f"{len(fleet.vehicles)} vehicles")
     for k, route in enumerate(sol.routes):
         veh = route.vehicle
         vs = route.visits
+        if k < len(fleet.vehicles) and veh != fleet.vehicles[k]:
+            out.append(f"vehicle {k}: route is driven by another vehicle "
+                       f"than the fleet's vehicle {k}")
         if not vs or not inst.is_depot(vs[0].node):
             out.append(f"vehicle {k}: route must start at a depot")
             continue
+        first = vs[0]
+        if first.node != veh.start_depot or abs(first.departure) > tol \
+                or abs(first.battery_after - veh.battery) > tol:
+            out.append(f"vehicle {k}: route must start fresh at home depot "
+                       f"{veh.start_depot}: full battery, departure 0")
         if not inst.is_depot(vs[-1].node):
             out.append(f"vehicle {k}: route must end at a depot")
         carried = set()

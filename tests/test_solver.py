@@ -30,8 +30,9 @@ def _recipe_case(seed):
 
 
 def test_exact_equals_enumeration_on_seed_slice():
-    """Pruned search returns the same optimum as brute force, bitwise."""
-    for seed in range(24):
+    """Pruned search and the route-table oracle return the same optimum,
+    bitwise, and the same plan, route by route."""
+    for seed in range(40):
         inst, fleet = _recipe_case(seed)
         ex = solve_exact(inst, fleet)
         en = solve_enumerate(inst, fleet)
@@ -39,7 +40,27 @@ def test_exact_equals_enumeration_on_seed_slice():
         if ex.feasible:
             assert ex.solution.total == en.solution.total, seed
             assert ex.proven_optimal and en.proven_optimal
-            assert ex.nodes_expanded <= en.nodes_expanded
+            assert [r.visits for r in en.solution.routes] == \
+                [r.visits for r in ex.solution.routes], seed
+        # equal vehicles share one route table: with 1 or 2 equal UAVs
+        # (plus the ADR) the oracle walks the same nodes
+        other = instance.default_fleet(4 - len(fleet.vehicles), 1,
+                                       inst.depot_nodes()[0])
+        assert solve_enumerate(inst, other).nodes_expanded == \
+            en.nodes_expanded, seed
+
+
+def test_exact_equals_enumeration_at_five_pairs():
+    for seed in range(8):
+        inst = instance.generate(n_customers=5, n_depots=1 + seed % 2,
+                                 seed=seed)
+        fleet = instance.default_fleet(1 + seed % 2, 1, inst.depot_nodes()[0])
+        ex = solve_exact(inst, fleet)
+        en = solve_enumerate(inst, fleet)
+        assert ex.proven_optimal and en.proven_optimal, seed
+        assert ex.feasible == en.feasible, seed
+        if ex.feasible:
+            assert ex.solution.total == en.solution.total, seed
 
 
 def test_solver_plans_replay_through_the_simulator():
@@ -323,6 +344,33 @@ def test_validate_flags_tampered_solutions():
                     for r in sol.routes]
     msgs = validate(empty, inst, fleet)
     assert any("never served" in m for m in msgs)
+
+
+def test_validate_checks_the_plan_against_the_fleet():
+    inst = instance.generate(n_customers=3, n_depots=1, seed=25)
+    depot = inst.depot_nodes()[0]
+    three = instance.default_fleet(3, 0, depot)
+    one = instance.default_fleet(1, 0, depot)
+    sol = solve_exact(inst, three).solution
+    assert validate(sol, inst, three) == []
+    # two routes of the three-UAV plan cost less than one UAV's optimum
+    assert sol.total < solve_exact(inst, one).solution.total
+    assert "3 routes for a fleet of 1 vehicles" in validate(sol, inst, one)
+
+    mixed = instance.default_fleet(2, 1, depot)
+    msgs = validate(sol, inst, mixed)
+    assert msgs == ["vehicle 2: route is driven by another vehicle than the "
+                    "fleet's vehicle 2"]
+
+    k = next(i for i, r in enumerate(sol.routes) if len(r.visits) > 2)
+    for field, value in (("departure", 3.0), ("battery_after", 1.0)):
+        late = dataclasses.replace(sol)
+        late.routes = [dataclasses.replace(r, visits=list(r.visits))
+                       for r in sol.routes]
+        late.routes[k].visits[0] = dataclasses.replace(
+            late.routes[k].visits[0], **{field: value})
+        msgs = validate(late, inst, three)
+        assert any("must start fresh" in m for m in msgs), field
 
 
 def test_validate_flags_route_not_anchored_at_depot():
