@@ -52,10 +52,12 @@ class LegCosts:
 
     Also holds the flat per-node tables (demand, windows) that ``advance``
     reads, so the transition skips instance method calls.  Raises
-    ``ValueError`` when ``nets`` were built for another instance.
+    ``ValueError`` when ``nets`` were built for another instance or
+    ``physics`` is out of range.
     """
 
     def __init__(self, inst, nets, physics):
+        physics.validate()
         xy = [inst.node_xy(v) for v in range(inst.n_nodes)]
         if nets.aerial.xy != xy or nets.ground.xy != xy:
             raise ValueError("networks were built for another instance: "
@@ -199,7 +201,6 @@ def reset(inst, fleet, nets=None, physics=None):
         nets = build_networks(inst)
     if physics is None:
         physics = PhysicsConfig()
-    physics.validate()
     nv = len(fleet.vehicles)
     n = inst.n_nodes
     pos = np.array([v.start_depot for v in fleet.vehicles], dtype=int)

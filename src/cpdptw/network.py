@@ -42,14 +42,6 @@ class AdjacencySpec:
         return self
 
 
-@dataclass
-class EdgeFeature:
-    i: int
-    j: int
-    value: float   # min
-    mode: str
-
-
 class ModeGraph:
     """One travel mode over the instance's nodes.
 
@@ -170,31 +162,27 @@ _MODE_SPEED = {"UAV": 20.0, "ADR": 8.3}
 
 
 def edge_features(inst, g, mode, spec=None, speed_mps=None):
-    """Relative-slack features e_ij = |e_i - l_j - t_ij| (minutes).
+    """Relative-slack features e_ij = |e_i - l_j - t_ij| (minutes), as a
+    (2N, 2N) matrix over the customer nodes.
 
-    Computed for ordered customer-node pairs in the temporal neighborhood
-    (all customer pairs when ``spec`` is None); pairs without a path in
-    ``g`` are omitted.
+    NaN on the diagonal, outside the temporal neighborhood (when ``spec``
+    is given) and where ``g`` has no path.  Only blocked pairs inside the
+    kept entries are searched for a detour.
     """
     v = _MODE_SPEED[mode] if speed_mps is None else speed_mps
     if not v > 0:
         raise ValueError(f"speed for mode {mode}: must be > 0, got {v!r}")
     nc = 2 * inst.n_customers
-    adj = temporal_adjacency(inst, spec) if spec is not None else None
-    feats = []
-    for i in range(nc):
-        e_i = inst.node_window(i)[0]
-        for j in range(nc):
-            if i == j:
-                continue
-            if adj is not None and not adj[i, j]:
-                continue
-            d = g.distance_m(i, j)
-            if math.isinf(d):
-                continue
-            l_j = inst.node_window(j)[1]
-            feats.append(EdgeFeature(i, j, abs(e_i - l_j - d / (v * 60.0)), mode))
-    return feats
+    keep = ~np.eye(nc, dtype=bool)
+    if spec is not None:
+        keep &= temporal_adjacency(inst, spec)[:nc, :nc]
+    d = np.array(g.dist)[:nc, :nc]
+    for i, j in zip(*np.nonzero(keep & np.isinf(d))):
+        d[i, j] = g.distance_m(int(i), int(j))
+    early, late = np.array([inst.node_window(k) for k in range(nc)]).T
+    slack = np.abs(early[:, None] - late[None, :] - d / (v * 60.0))
+    slack[~keep | np.isinf(d)] = np.nan
+    return slack
 
 
 # -- construction from instances ---------------------------------------------

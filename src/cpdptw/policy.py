@@ -207,28 +207,29 @@ def _graph_summary(nodes, kinds):
 def init_embeddings(inst, edge_feats, weights):
     """Initial node embeddings and the dense edge-embedding tensor.
 
-    ``edge_feats`` maps mode name -> list of per-pair slack features; the two
-    modes use separate projections, fused by summation on pairs present in
-    both.  Pairs absent from every mode keep the zero vector.
+    ``edge_feats`` maps mode name -> (2N, 2N) slack matrix (NaN where a
+    pair has no feature; see ``edge_features``); the two modes use separate
+    projections, fused by summation on pairs present in both.  Pairs absent
+    from every mode, and every pair when the mapping is empty, keep the
+    zero vector.
     """
     feats = node_features(inst)
     n, big_n = inst.n_nodes, inst.n_customers
     kinds = np.array([_KIND_CODE[inst.node_kind(i)] for i in range(n)],
                      dtype=np.int8)
-    h = np.zeros((n, EMBED_DIM))
-    for i in range(n):
-        if kinds[i] == 0:
-            h[i] = weights["w1"] @ np.concatenate([feats[i], feats[i + big_n]]) \
-                + weights["b1"]
-        else:
-            h[i] = weights["w2"] @ feats[i] + weights["b2"]
+    pick = kinds == 0
+    pairs = np.concatenate([feats[pick], feats[np.flatnonzero(pick) + big_n]],
+                           axis=1)
+    h = np.empty((n, EMBED_DIM))
+    h[pick] = pairs @ weights["w1"].T + weights["b1"]
+    h[~pick] = feats[~pick] @ weights["w2"].T + weights["b2"]
     h = _bn(weights, "bn0", h)
     edges = np.zeros((n, n, EDGE_DIM))
     proj = {"UAV": ("w3", "b3"), "ADR": ("w4", "b4")}
-    for mode, pairs in edge_feats.items():
+    for mode, slack in edge_feats.items():
         wm, bm = weights[proj[mode][0]], weights[proj[mode][1]]
-        for ef in pairs:
-            edges[ef.i, ef.j] += wm[:, 0] * ef.value + bm
+        i, j = np.nonzero(~np.isnan(slack))
+        edges[i, j] += wm[:, 0] * slack[i, j, None] + bm
     return Embedding(nodes=h, summary=_graph_summary(h, kinds), kinds=kinds), edges
 
 
@@ -236,7 +237,10 @@ def gat_layer(h, edges, a_t, a_s, weights, layer):
     """One heterogeneous multi-head attention layer over NB^T ∪ NB^S.
 
     Row i scores its neighborhood with the pickup-role parameters (g1, wr1)
-    unless i is a delivery node, which uses (g2, wr2).  Aggregation sums the
+    unless i is a delivery node, which uses (g2, wr2).  A head's score of
+    neighbor j is g · [own_i, other_j, edge_ij], so each role's (n, n, K)
+    scores are built from the three blocks of g at once, and a masked
+    softmax over j runs on the dense neighborhood.  Aggregation sums the
     attention-weighted values over all neighbors, over pickup neighbors and
     over delivery neighbors (three groups), the heads are recombined, and a
     residual + normalisation + feed-forward block finishes the layer.
@@ -247,35 +251,26 @@ def gat_layer(h, edges, a_t, a_s, weights, layer):
     x, kinds = h.nodes, h.kinds
     n = x.shape[0]
     p = f"layer{layer}_"
-    g_role = (weights[p + "g1"], weights[p + "g2"])
-    # projections of every node under both roles and as values: (n, K, 16)
-    pr = (np.einsum("nd,khd->nkh", x, weights[p + "wr1"]),
-          np.einsum("nd,khd->nkh", x, weights[p + "wr2"]))
-    vals = np.einsum("nd,khd->nkh", x, weights[p + "wv"])
+    d = HEAD_DIM
+    scores = []
+    for role in ("1", "2"):
+        g = weights[p + "g" + role]                                  # (K, 48)
+        pr = np.einsum("nd,khd->nkh", x, weights[p + "wr" + role])   # (n, K, 16)
+        own = np.einsum("nkh,kh->nk", pr, g[:, :d])
+        other = np.einsum("nkh,kh->nk", pr, g[:, d:2 * d])
+        scores.append(own[:, None, :] + other[None, :, :] + edges @ g[:, 2 * d:].T)
+    score = np.where((kinds == 1)[:, None, None], scores[1], scores[0])
+    score = np.where(score > 0, score, _LEAK * score)
     nb = a_t | a_s
-    combined = np.zeros_like(x)
-    for i in range(n):
-        neigh = np.flatnonzero(nb[i])
-        if neigh.size == 0:
-            neigh = np.array([i])
-            e_ij = np.zeros((1, EDGE_DIM))
-        else:
-            e_ij = edges[i, neigh]
-        role = 1 if kinds[i] == 1 else 0
-        own = pr[role][i]                       # (K, 16)
-        others = pr[role][neigh]                # (m, K, 16)
-        group = 1.0 + (kinds[neigh] == 0) + (kinds[neigh] == 1)
-        heads = np.empty((N_HEADS, HEAD_DIM))
-        for k in range(N_HEADS):
-            z = np.concatenate([np.broadcast_to(own[k], (neigh.size, HEAD_DIM)),
-                                others[:, k, :], e_ij], axis=1)
-            score = z @ g_role[role][k]
-            score = np.where(score > 0, score, _LEAK * score)
-            score -= score.max()
-            alpha = np.exp(score)
-            alpha /= alpha.sum()
-            heads[k] = (alpha * group) @ vals[neigh, k, :]
-        combined[i] = np.einsum("kdh,kh->d", weights[p + "wo"], heads)
+    nb |= np.diag(~nb.any(axis=1))          # isolated rows: self-loop, zero edge
+    score = np.where(nb[:, :, None], score, -np.inf)
+    alpha = np.exp(score - score.max(axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)                        # (n, n, K)
+    group = 1.0 + (kinds == 0) + (kinds == 1)
+    vals = np.einsum("nd,khd->knh", x, weights[p + "wv"])             # (K, n, 16)
+    heads = (alpha * group[None, :, None]).transpose(2, 0, 1) @ vals  # (K, n, 16)
+    wo = weights[p + "wo"].transpose(0, 2, 1).reshape(N_HEADS * d, EMBED_DIM)
+    combined = heads.transpose(1, 0, 2).reshape(n, N_HEADS * d) @ wo
     y = _bn(weights, p + "bn1", x + combined)
     ff = np.maximum(y @ weights[p + "ffn_w"].T + weights[p + "ffn_b"], 0.0)
     y = _bn(weights, p + "bn2", y + ff)

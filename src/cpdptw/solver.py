@@ -788,25 +788,12 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
         tot = _total(ctx, seqs_i)
         if tot < best_total - 1e-12:
             best_total, best_seqs = tot, seqs_i
-    if best_seqs is None:
-        _log_trie(ctx)
-        return SolveReport(solution=None, proven_optimal=False,
-                           nodes_expanded=steps,
-                           wall_time=_time.perf_counter() - t0,
-                           feasible=False)
-    seqs = best_seqs
-    _improve(ctx, seqs)
-    routes = []
-    for k in range(len(fleet.vehicles)):
-        _, moves, end = _seq_eval(ctx, k, seqs[k])
-        routes.append(Route(vehicle=fleet.vehicles[k],
-                            visits=_replay(ctx, k, moves, end)))
-    sol = Solution(routes=routes, breakdown={}, total=0.0, complete=True)
-    sol.breakdown = episode_cost(sol, inst)
-    sol.total = sol.breakdown["total"]
+    plan = None
+    if best_seqs is not None:
+        _improve(ctx, best_seqs)
+        plan = [_seq_eval(ctx, k, seq)[1:] for k, seq in enumerate(best_seqs)]
     _log_trie(ctx)
-    return SolveReport(solution=sol, proven_optimal=False, nodes_expanded=steps,
-                       wall_time=_time.perf_counter() - t0)
+    return _report(ctx, plan, steps, t0, False)
 
 
 # ---------------------------------------------------------------------------

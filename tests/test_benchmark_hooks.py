@@ -1,6 +1,7 @@
 """The benchmark's tracing hooks still find the package attributes they wrap,
-its coalition sweep still reproduces the recorded optima, and its exact-small
-cases still pass its correctness gate."""
+its coalition sweep still reproduces the recorded optima, its exact-small
+cases still pass its correctness gate, and its attention rollouts still end
+where they did."""
 
 import importlib.util
 import json
@@ -54,3 +55,35 @@ def test_exact_small_passes_the_benchmark_gate(monkeypatch):
     for case in inputs:
         cases.run_case("exact-small", case)
         assert cases.check_case("exact-small", case).problems == [], case.index
+
+
+# Rollout fingerprints (steps, complete, repr(total)) of the attention cases
+# with N <= 30 at the held-out seed 7919, by case index, as recorded with the
+# per-(node, head) encoder loop.  An ulp-level change in the encoder can flip
+# a near-tie argmax and end an episode elsewhere.
+ATTENTION_ROLLOUTS = {
+    2: (20, False, "21.408198476642227"),
+    3: (11, False, "8.282463972010973"),
+    6: (45, False, "31.71397756777344"),
+    7: (45, True, "47.79441558167962"),
+    10: (41, False, "42.51730356644079"),
+    11: (45, False, "61.25701021347064"),
+    14: (99, False, "51.5982801783538"),
+    15: (88, True, "70.28456962110243"),
+    18: (62, False, "58.94740750511091"),
+    19: (61, False, "67.09131131036138"),
+    22: (129, True, "91.20886519030084"),
+    23: (128, False, "79.60632664082371"),
+}
+
+
+def test_attention_rollouts_keep_their_fingerprints(monkeypatch):
+    cases = _load_cases(monkeypatch)
+    picked = [c for c in cases.build_inputs("rollout", 7919)
+              if c.spec.scorer == "attention" and c.spec.n <= 30]
+    assert [c.index for c in picked] == list(ATTENTION_ROLLOUTS)
+    for case in picked:
+        cases.run_case("rollout", case)
+        verdict = cases.check_case("rollout", case)
+        assert verdict.problems == [], case.index
+        assert verdict.fingerprint == ATTENTION_ROLLOUTS[case.index], case.index

@@ -177,15 +177,12 @@ def test_edge_features_reference_values():
     """Slack of toy pair A->B: |3 - 12 - sqrt(2)/v| for each mode speed."""
     inst, _ = toy.build_toy_instance()
     nets = build_networks(inst)
-    adr = {(f.i, f.j): f.value
-           for f in edge_features(inst, nets.ground, "ADR",
-                                  speed_mps=1000.0 / 60.0)}
-    uav = {(f.i, f.j): f.value
-           for f in edge_features(inst, nets.aerial, "UAV", speed_mps=50.0)}
-    assert adr[(0, 1)] == pytest.approx(10.414, abs=5e-4)
-    assert uav[(0, 1)] == pytest.approx(9.471, abs=5e-4)
-    assert adr[(0, 1)] == pytest.approx(abs(3.0 - 12.0 - math.sqrt(2.0)))
-    assert uav[(0, 1)] == pytest.approx(abs(3.0 - 12.0 - math.sqrt(2.0) / 3.0))
+    adr = edge_features(inst, nets.ground, "ADR", speed_mps=1000.0 / 60.0)
+    uav = edge_features(inst, nets.aerial, "UAV", speed_mps=50.0)
+    assert adr[0, 1] == pytest.approx(10.414, abs=5e-4)
+    assert uav[0, 1] == pytest.approx(9.471, abs=5e-4)
+    assert adr[0, 1] == pytest.approx(abs(3.0 - 12.0 - math.sqrt(2.0)))
+    assert uav[0, 1] == pytest.approx(abs(3.0 - 12.0 - math.sqrt(2.0) / 3.0))
 
 
 def test_edge_features_respect_temporal_neighborhood():
@@ -193,15 +190,40 @@ def test_edge_features_respect_temporal_neighborhood():
     nets = build_networks(inst)
     spec = AdjacencySpec(zeta=2.9)
     feats = edge_features(inst, nets.ground, "ADR", spec=spec)
-    pairs = {(f.i, f.j) for f in feats}
+    pairs = set(zip(*np.nonzero(~np.isnan(feats))))
     assert (0, 2) not in pairs and (2, 0) not in pairs
     assert (0, 1) in pairs and (1, 0) in pairs
     # without a spec every ordered customer pair is present
     all_feats = edge_features(inst, nets.ground, "ADR")
     nc = 2 * inst.n_customers
-    assert len(all_feats) == nc * (nc - 1)
-    for f in all_feats:
-        assert f.value >= 0.0 and f.mode == "ADR"
+    assert all_feats.shape == (nc, nc)
+    present = all_feats[~np.isnan(all_feats)]
+    assert present.size == nc * (nc - 1)
+    assert np.all(present >= 0.0)
+    assert np.isnan(all_feats.diagonal()).all()
+
+
+def test_edge_features_match_pairwise_slacks_on_blocked_graphs():
+    """Every entry equals the pairwise slack along the shortest path, bit
+    for bit, and only sources with a kept blocked pair are searched."""
+    for seed in range(4):
+        inst = instance.generate(6, n_depots=2, seed=seed)
+        spec = AdjacencySpec(rho=0.6, zeta=40.0, seed=seed)
+        nets = build_networks(inst, spec)
+        g = nets.aerial
+        slack = edge_features(inst, g, "UAV", spec=spec, speed_mps=12.0)
+        nc = 2 * inst.n_customers
+        adj = temporal_adjacency(inst, spec)
+        kept = {(i, j) for i in range(nc) for j in range(nc)
+                if i != j and adj[i, j]}
+        assert set(g._trees) == {i for i, j in kept if g.dist[i][j] == INF}
+        for i, j in itertools.product(range(nc), repeat=2):
+            d = g.distance_m(i, j)
+            if (i, j) not in kept or d == INF:
+                assert np.isnan(slack[i, j]), (seed, i, j)
+            else:
+                e_i, l_j = inst.node_window(i)[0], inst.node_window(j)[1]
+                assert slack[i, j] == abs(e_i - l_j - d / (12.0 * 60.0))
 
 
 def test_edge_features_rejects_bad_speed():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cpdptw import env, policy, toy
+from cpdptw import env, instance, policy, toy
 from cpdptw.instance import Customer, Instance
-from cpdptw.network import AdjacencySpec, build_networks
+from cpdptw.network import AdjacencySpec, build_networks, edge_features
 from cpdptw.policy import (EMBED_DIM, N_LAYERS, TENSOR_SHAPES, WeightSet,
                            attention_scorer, decode_scores, encode,
                            gat_layer, load_weights, node_features,
@@ -141,8 +141,7 @@ def test_encoder_golden_snapshot():
 def test_gat_layer_roles_touch_only_delivery_rows():
     """Zeroing the delivery-role tensors must leave other rows untouched."""
     inst, nets, w, _ = _toy_encoded()
-    feats = {"UAV": [], "ADR": []}
-    h0, edges = policy.init_embeddings(inst, feats, w)
+    h0, edges = policy.init_embeddings(inst, {}, w)
     base = gat_layer(h0, edges, nets.temporal, nets.spatial, w, 0)
 
     t = dict(w.tensors)
@@ -159,9 +158,95 @@ def test_gat_layer_roles_touch_only_delivery_rows():
 
 def test_gat_layer_rejects_bad_index():
     inst, nets, w, _ = _toy_encoded()
-    h0, edges = policy.init_embeddings(inst, {"UAV": [], "ADR": []}, w)
+    h0, edges = policy.init_embeddings(inst, {}, w)
     with pytest.raises(ValueError, match="layer index"):
         gat_layer(h0, edges, nets.temporal, nets.spatial, w, N_LAYERS)
+
+
+def _reference_init_embeddings(inst, edge_feats, weights):
+    """``init_embeddings`` written as loops over nodes and pairs."""
+    feats = node_features(inst)
+    n, big_n = inst.n_nodes, inst.n_customers
+    kinds = np.array([policy._KIND_CODE[inst.node_kind(i)] for i in range(n)])
+    h = np.zeros((n, EMBED_DIM))
+    for i in range(n):
+        if kinds[i] == 0:
+            h[i] = weights["w1"] @ np.concatenate([feats[i], feats[i + big_n]]) \
+                + weights["b1"]
+        else:
+            h[i] = weights["w2"] @ feats[i] + weights["b2"]
+    h = policy._bn(weights, "bn0", h)
+    edges = np.zeros((n, n, policy.EDGE_DIM))
+    proj = {"UAV": ("w3", "b3"), "ADR": ("w4", "b4")}
+    for mode, slack in edge_feats.items():
+        wm, bm = weights[proj[mode][0]], weights[proj[mode][1]]
+        for i, j in np.argwhere(~np.isnan(slack)):
+            edges[i, j] += wm[:, 0] * slack[i, j] + bm
+    return policy.Embedding(nodes=h, summary=policy._graph_summary(h, kinds),
+                            kinds=kinds), edges
+
+
+def _reference_gat_layer(h, edges, a_t, a_s, weights, layer):
+    """``gat_layer`` written as a loop over (node, head): the reference for
+    the dense, masked form."""
+    x, kinds = h.nodes, h.kinds
+    p = f"layer{layer}_"
+    g_role = (weights[p + "g1"], weights[p + "g2"])
+    pr = (np.einsum("nd,khd->nkh", x, weights[p + "wr1"]),
+          np.einsum("nd,khd->nkh", x, weights[p + "wr2"]))
+    vals = np.einsum("nd,khd->nkh", x, weights[p + "wv"])
+    nb = a_t | a_s
+    combined = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        neigh = np.flatnonzero(nb[i])
+        if neigh.size == 0:
+            neigh = np.array([i])
+            e_ij = np.zeros((1, policy.EDGE_DIM))
+        else:
+            e_ij = edges[i, neigh]
+        role = 1 if kinds[i] == 1 else 0
+        group = 1.0 + (kinds[neigh] == 0) + (kinds[neigh] == 1)
+        heads = np.empty((policy.N_HEADS, policy.HEAD_DIM))
+        for k in range(policy.N_HEADS):
+            z = np.concatenate(
+                [np.broadcast_to(pr[role][i, k], (neigh.size, policy.HEAD_DIM)),
+                 pr[role][neigh, k, :], e_ij], axis=1)
+            score = z @ g_role[role][k]
+            score = np.where(score > 0, score, 0.2 * score)
+            alpha = np.exp(score - score.max())
+            alpha /= alpha.sum()
+            heads[k] = (alpha * group) @ vals[neigh, k, :]
+        combined[i] = np.einsum("kdh,kh->d", weights[p + "wo"], heads)
+    y = policy._bn(weights, p + "bn1", x + combined)
+    ff = np.maximum(y @ weights[p + "ffn_w"].T + weights[p + "ffn_b"], 0.0)
+    y = policy._bn(weights, p + "bn2", y + ff)
+    return policy.Embedding(nodes=y, summary=policy._graph_summary(y, kinds),
+                            kinds=kinds)
+
+
+@pytest.mark.parametrize("zeta, mu, isolated", [
+    (1e-6, 1e-6, 14), (1e-6, 1.0, 4), (5.0, 1e-6, 9), (30.0, 0.5, 2)])
+def test_dense_encoder_matches_the_per_node_reference(zeta, mu, isolated):
+    """The dense encoder agrees with the loop over nodes, pairs and heads,
+    including rows with no neighbor, which attend only to themselves; the
+    edge tensor is the same bit for bit."""
+    inst = instance.generate(6, n_depots=2, seed=3)
+    nets = build_networks(inst, AdjacencySpec(zeta=zeta, mu=mu, rho=0.3,
+                                              seed=3))
+    nb = nets.temporal | nets.spatial
+    assert int((~nb.any(axis=1)).sum()) == isolated
+    w = random_weights(5)
+    feats = {"UAV": edge_features(inst, nets.aerial, "UAV", nets.spec),
+             "ADR": edge_features(inst, nets.ground, "ADR", nets.spec)}
+    ref, edges = _reference_init_embeddings(inst, feats, w)
+    assert np.array_equal(edges, policy.init_embeddings(inst, feats, w)[1])
+    for layer in range(N_LAYERS):
+        ref = _reference_gat_layer(ref, edges, nets.temporal, nets.spatial,
+                                   w, layer)
+    got = encode(inst, nets, w)
+    # relative to the largest entry: cancellation leaves some entries near 0
+    for a, b in ((got.nodes, ref.nodes), (got.summary, ref.summary)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 # -- decoder -----------------------------------------------------------------------

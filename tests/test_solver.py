@@ -373,6 +373,23 @@ def test_validate_checks_the_plan_against_the_fleet():
         assert any("must start fresh" in m for m in msgs), field
 
 
+def test_every_entry_point_rejects_out_of_range_physics():
+    """Solvers, validate and reset all check the physics they price with."""
+    inst, fleet = make_case(n=2, seed=1)
+    nets = build_networks(inst)
+    plan = solve_exact(inst, fleet, nets).solution
+    gale = PhysicsConfig(wind=WindState(speed=40.0, model="constant"))
+    negative = PhysicsConfig(payload_kg_per_unit=-5.0)
+    for physics, msg in ((gale, "wind speed"), (negative, "payload_kg_per_unit")):
+        for solve in (solve_exact, solve_enumerate, solve_heuristic):
+            with pytest.raises(ValueError, match=msg):
+                solve(inst, fleet, nets, physics)
+        with pytest.raises(ValueError, match=msg):
+            validate(plan, inst, fleet, nets, physics)
+        with pytest.raises(ValueError, match=msg):
+            env.reset(inst, fleet, nets, physics)
+
+
 def test_validate_flags_route_not_anchored_at_depot():
     inst, fleet = make_case(n=1, seed=0, n_uav=1, n_adr=0)
     sol = solve_exact(inst, fleet).solution
