@@ -27,6 +27,7 @@ rollout is flagged incomplete.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ from .energy import PhysicsConfig, leg_energy
 from .network import AdjacencySpec, build_networks
 
 STEP_LIMIT_FACTOR = 10
+
+LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +230,10 @@ def _pair_serviceable(s, k, j, battery_at_j, load_after_pickup):
     with the reserve intact and finish the round trip on a full charge.
     """
     veh = s.fleet.vehicles[k]
-    inst, legs = s.inst, s.legs
-    dest = inst.pair_of(j)
+    legs = s.legs
+    dest = j + legs.n_cust
     floor = veh.battery_floor * veh.battery
-    load_after_drop = load_after_pickup - inst.node_demand(j)
+    load_after_drop = load_after_pickup - legs.demand[j]
     # direct: j -> delivery -> nearest depot
     direct = (battery_at_j
               - legs.energy_kj(veh, j, dest, load_after_pickup)
@@ -238,7 +241,7 @@ def _pair_serviceable(s, k, j, battery_at_j, load_after_pickup):
     if direct >= floor - 1e-12:
         return True
     # recharge first: j -> depot d (reserve intact), then d -> delivery -> depot
-    for d in inst.depot_nodes():
+    for d in s.inst.depot_nodes():
         if battery_at_j - legs.energy_kj(veh, j, d, load_after_pickup, half=True) \
                 < floor - 1e-12:
             continue
@@ -250,53 +253,62 @@ def _pair_serviceable(s, k, j, battery_at_j, load_after_pickup):
     return False
 
 
+def _mask_row(s, k, row):
+    """Fill the zeroed ``row`` with the nodes vehicle k may go to next.
+
+    Reads only vehicle k's state and ``s.visited``, so after a step (k, j)
+    every other row changes at most in column j.
+    """
+    legs = s.legs
+    n_cust, ncust2 = legs.n_cust, legs.ncust2
+    veh = s.fleet.vehicles[k]
+    i = int(s.pos[k])
+    e, u, tau = float(s.battery[k]), float(s.load[k]), float(s.clock[k])
+    floor = veh.battery_floor * veh.battery
+    at_depot = i >= ncust2
+    near = (s.nets.temporal[i] | s.nets.spatial[i]).tolist()
+    visited = s.visited.tolist()
+    carrying = s.carrying[k]
+    for j in range(len(row)):
+        if j == i:
+            continue
+        if j >= ncust2:                 # depot
+            if at_depot:
+                continue                # no depot hopping
+            cost = legs.energy_kj(veh, i, j, u, half=True)
+            row[j] = e - cost >= floor - 1e-12
+            continue
+        if visited[j]:
+            continue                    # rule 1
+        if not near[j]:
+            continue                    # rule 4 (depots exempt above)
+        if j < n_cust:                  # pickup
+            q = legs.demand[j]
+            if u + q > veh.capacity + 1e-9:
+                continue                # rule 3: capacity
+            t_leg = legs.time_min(veh, i, j)
+            if tau + t_leg > legs.win_l[j] + 1e-9:
+                continue                # rule 2: hard pickup window
+            e_after = e - legs.energy_kj(veh, i, j, u)
+            if e_after < -1e-12:
+                continue
+            row[j] = _pair_serviceable(s, k, j, e_after, u + q)
+        else:                           # delivery
+            if (j - n_cust) not in carrying:
+                continue                # rule 5
+            e_after = e - legs.energy_kj(veh, i, j, u)
+            if e_after < -1e-12:
+                continue
+            drop = u - abs(legs.demand[j])
+            row[j] = (e_after - legs.depot_reserve_kj(veh, j, drop)
+                      >= floor - 1e-12)
+
+
 def feasible_mask(s):
     """Boolean (n_vehicles, n_nodes) matrix of admissible assignments."""
-    inst, legs = s.inst, s.legs
-    nv = len(s.fleet.vehicles)
-    nn = inst.n_nodes
-    mask = np.zeros((nv, nn), dtype=bool)
-    temporal, spatial = s.nets.temporal, s.nets.spatial
-    for k in range(nv):
-        veh = s.fleet.vehicles[k]
-        i = int(s.pos[k])
-        e, u, tau = float(s.battery[k]), float(s.load[k]), float(s.clock[k])
-        floor = veh.battery_floor * veh.battery
-        at_depot = inst.is_depot(i)
-        for j in range(nn):
-            if j == i:
-                continue
-            kind = inst.node_kind(j)
-            if kind == "depot":
-                if at_depot:
-                    continue            # no depot hopping
-                cost = legs.energy_kj(veh, i, j, u, half=True)
-                mask[k, j] = e - cost >= floor - 1e-12
-                continue
-            if s.visited[j]:
-                continue                # rule 1
-            if not (temporal[i, j] or spatial[i, j]):
-                continue                # rule 4 (depots exempt above)
-            if kind == "pickup":
-                q = inst.node_demand(j)
-                if u + q > veh.capacity + 1e-9:
-                    continue            # rule 3: capacity
-                t_leg = legs.time_min(veh, i, j)
-                if tau + t_leg > inst.node_window(j)[1] + 1e-9:
-                    continue            # rule 2: hard pickup window
-                e_after = e - legs.energy_kj(veh, i, j, u)
-                if e_after < -1e-12:
-                    continue
-                mask[k, j] = _pair_serviceable(s, k, j, e_after, u + q)
-            else:                       # delivery
-                if (j - inst.n_customers) not in s.carrying[k]:
-                    continue            # rule 5
-                e_after = e - legs.energy_kj(veh, i, j, u)
-                if e_after < -1e-12:
-                    continue
-                drop = u - abs(inst.node_demand(j))
-                mask[k, j] = (e_after - legs.depot_reserve_kj(veh, j, drop)
-                              >= floor - 1e-12)
+    mask = np.zeros((len(s.fleet.vehicles), s.inst.n_nodes), dtype=bool)
+    for k in range(mask.shape[0]):
+        _mask_row(s, k, mask[k])
     return mask
 
 
@@ -435,7 +447,13 @@ def greedy_nearest(state, mask):
     return scores
 
 
+def _check_strategy(strategy):
+    if strategy not in ("paired", "uav-prior", "adr-prior"):
+        raise ValueError(f"strategy: paired|uav-prior|adr-prior, got {strategy!r}")
+
+
 def _select(scores, mask, state, strategy):
+    _check_strategy(strategy)
     masked = np.where(mask, scores, -np.inf)
     modes = np.array([v.mode for v in state.fleet.vehicles])
     if strategy in ("uav-prior", "adr-prior"):
@@ -445,10 +463,15 @@ def _select(scores, mask, state, strategy):
             sub = np.where(rows[:, None], masked, -np.inf)
             flat = int(np.argmax(sub))
             return np.unravel_index(flat, mask.shape)
-    elif strategy != "paired":
-        raise ValueError(f"strategy: paired|uav-prior|adr-prior, got {strategy!r}")
     flat = int(np.argmax(masked))
     return np.unravel_index(flat, mask.shape)
+
+
+def _finish(s, reason):
+    n = s.legs.n_cust
+    LOG.debug("rollout ended (%s) after %d steps with %d of %d pairs unserved",
+              reason, s.t, n - int(s.visited[n:2 * n].sum()), n)
+    return _solution_from_state(s, complete=reason == "terminal")
 
 
 def rollout(policy, inst, fleet, strategy="paired", seed=0,
@@ -457,8 +480,10 @@ def rollout(policy, inst, fleet, strategy="paired", seed=0,
 
     ``policy(state, mask) -> score matrix``; the highest-scoring unmasked
     pair is executed each step (mode-restricted first under the *-prior
-    strategies).  Deterministic for fixed (policy, seed, strategy).
+    strategies).  The policy gets a copy of the mask.  Deterministic for
+    fixed (policy, seed, strategy).
     """
+    _check_strategy(strategy)
     if nets is None:
         nets = build_networks(inst, AdjacencySpec(seed=seed))
     if physics is None:
@@ -466,19 +491,25 @@ def rollout(policy, inst, fleet, strategy="paired", seed=0,
         physics.wind.seed = seed
     s = reset(inst, fleet, nets, physics)
     limit = s.step_limit()
+    mask = feasible_mask(s)
     while True:
         if s.terminal():
-            return _solution_from_state(s, complete=True)
+            return _finish(s, "terminal")
         if s.t >= limit:
-            return _solution_from_state(s, complete=False)
-        mask = feasible_mask(s)
+            return _finish(s, "step limit")
         if not mask.any():
-            return _solution_from_state(s, complete=False)
-        scores = policy(s, mask)
+            return _finish(s, "dead end")
+        scores = policy(s, mask.copy())
         k, j = _select(scores, mask, s, strategy)
         if not mask[k, j]:
             raise RuntimeError("policy selected a masked pair")
-        s = step(s, (int(k), int(j)))
+        k, j = int(k), int(j)
+        s = step(s, (k, j))
+        # only vehicle k and visited[j] changed: close j, refill row k
+        if j < s.legs.ncust2:
+            mask[:, j] = False
+        mask[k] = False
+        _mask_row(s, k, mask[k])
 
 
 # ---------------------------------------------------------------------------

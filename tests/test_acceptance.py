@@ -240,6 +240,7 @@ def test_criterion_5_simulator_invariants(capsys):
         state = env.reset(inst, fleet)
         expected_load = [0.0] * len(fleet.vehicles)
         picked_by = {}
+        trail = [[v.start_depot] for v in fleet.vehicles]
         steps = 0
         while state.t < state.step_limit():
             mask = env.feasible_mask(state)
@@ -249,6 +250,7 @@ def test_criterion_5_simulator_invariants(capsys):
             k, node = env._select(scores, mask, state, strategy)
             assert mask[k, node], f"episode {i}: masked action chosen"
             state = env.step(state, (k, node))
+            trail[k].append(node)
             steps += 1
             if inst.is_pickup(node):
                 picked_by[node] = k
@@ -265,8 +267,8 @@ def test_criterion_5_simulator_invariants(capsys):
         # the public rollout must follow the same trajectory and decompose
         sol = env.rollout(env.greedy_nearest, inst, fleet,
                           strategy=strategy, seed=i)
-        assert sum(len(r.visits) for r in sol.routes) \
-            == steps + len(fleet.vehicles)
+        assert [[v.node for v in r.visits] for r in sol.routes] == trail, \
+            f"episode {i}: rollout left the manual trajectory"
         parts = sum(v for kname, v in sol.breakdown.items() if kname != "total")
         assert abs(parts - sol.total) <= 1e-9
         assert sol.breakdown["total"] == sol.total

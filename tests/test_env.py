@@ -1,6 +1,9 @@
 """Simulator: reset, masking rules, transitions, costs, rollouts, writers."""
 
 import csv
+import dataclasses
+import itertools
+import logging
 import math
 
 import numpy as np
@@ -261,6 +264,29 @@ def test_rollout_strategies():
         assert sol.total >= 0.0
     with pytest.raises(ValueError, match="strategy"):
         env.rollout(env.greedy_nearest, inst, fleet, strategy="alphabetical")
+    # also when the fleet is stuck from the start and no step is ever chosen
+    inst = instance.generate(3, n_depots=1, seed=0)
+    fleet = instance.default_fleet(1, 1, inst.depot_nodes()[0])
+    stuck = FleetSpec([dataclasses.replace(v, battery=1e-6)
+                       for v in fleet.vehicles])
+    assert not env.feasible_mask(env.reset(inst, stuck)).any()
+    with pytest.raises(ValueError, match="strategy"):
+        env.rollout(env.greedy_nearest, inst, stuck, strategy="alphabetical")
+
+
+def test_rollout_logs_once_why_it_ended(caplog):
+    inst, fleet = make_case(n=3, seed=1, n_uav=2, n_adr=1)
+    stuck = FleetSpec([dataclasses.replace(v, battery=1e-6)
+                       for v in fleet.vehicles])
+    with caplog.at_level(logging.DEBUG, logger="cpdptw.env"):
+        done = env.rollout(env.greedy_nearest, inst, fleet, seed=7)
+        dead = env.rollout(env.greedy_nearest, inst, stuck, seed=7)
+    steps = sum(len(r.visits) - 1 for r in done.routes)
+    assert done.complete and not dead.complete
+    assert [r.getMessage() for r in caplog.records] == [
+        f"rollout ended (terminal) after {steps} steps with 0 of 3 pairs "
+        "unserved",
+        "rollout ended (dead end) after 0 steps with 3 of 3 pairs unserved"]
 
 
 def test_rollout_rejects_policy_that_ignores_mask():
@@ -309,6 +335,80 @@ def test_rollout_with_blocked_aerial_pairs_is_pinned(scorer):
     assert repr(sol.total) == total
     assert sum(len(r.visits) - 1 for r in sol.routes) == steps
     assert [[v.node for v in r.visits] for r in sol.routes] == trail
+
+
+def _trails(sol):
+    return [[v.node for v in r.visits] for r in sol.routes]
+
+
+def _full_mask_trails(policy, inst, fleet, strategy, nets, physics):
+    """The rollout loop with a full ``feasible_mask`` every step: the reference."""
+    s = env.reset(inst, fleet, nets, physics)
+    while not s.terminal() and s.t < s.step_limit():
+        mask = env.feasible_mask(s)
+        if not mask.any():
+            break
+        k, j = env._select(policy(s, mask), mask, s, strategy)
+        s = env.step(s, (int(k), int(j)))
+    return [[v.node for v in vs] for vs in s.visits]
+
+
+def _greedy_episodes():
+    """Criterion-5-style episodes: N = 2-6, 1-3 depots, all three strategies."""
+    for n, depots, strategy, seed in itertools.product(
+            range(2, 7), (1, 2, 3), ("paired", "uav-prior", "adr-prior"),
+            range(3)):
+        inst = instance.generate(n_customers=n, n_depots=depots, seed=seed)
+        fleet = instance.default_fleet(1 + seed % 2, 1 + (n + depots) % 2,
+                                       inst.depot_nodes()[0])
+        yield env.greedy_nearest, inst, fleet, strategy, build_networks(inst)
+
+
+def _attention_episodes():
+    """Attention episodes at rho = 0.3 with N <= 20."""
+    policy = attention_scorer(random_weights(4))
+    for n, strategy in itertools.product((5, 12, 20),
+                                         ("paired", "uav-prior", "adr-prior")):
+        inst = instance.generate(n_customers=n, n_depots=2, seed=n)
+        fleet = instance.default_fleet(n // 4 + 1, n // 5 + 1,
+                                       inst.depot_nodes()[0])
+        yield policy, inst, fleet, strategy, build_networks(
+            inst, AdjacencySpec(rho=0.3, seed=n))
+
+
+@pytest.mark.parametrize("episodes", [_greedy_episodes, _attention_episodes],
+                         ids=["greedy", "attention"])
+def test_incremental_mask_equals_full_mask_at_every_step(episodes):
+    steps = 0
+    for policy, inst, fleet, strategy, nets in episodes():
+        def checked(state, mask):
+            nonlocal steps
+            assert (mask == env.feasible_mask(state)).all(), \
+                f"kept mask differs from the full mask at step {state.t}"
+            steps += 1
+            return policy(state, mask)
+
+        sol = env.rollout(checked, inst, fleet, strategy=strategy, nets=nets,
+                          physics=PhysicsConfig())
+        # a kept mask that empties too early would end the episode short
+        assert _trails(sol) == _full_mask_trails(
+            policy, inst, fleet, strategy, nets, PhysicsConfig())
+    assert steps > 0
+
+
+def test_policy_writing_into_its_mask_cannot_corrupt_the_rollout():
+    inst, fleet, nets = _blocked_case()
+
+    def vandal(state, mask):
+        scores = env.greedy_nearest(state, mask)
+        mask[:] = False
+        return scores
+
+    got = env.rollout(vandal, inst, fleet, seed=2, nets=nets,
+                      physics=PhysicsConfig())
+    want = env.rollout(env.greedy_nearest, inst, fleet, seed=2, nets=nets,
+                       physics=PhysicsConfig())
+    assert _trails(got) == _trails(want)
 
 
 # (i, j) -> detour, then on the first UAV: calm i->j minutes and kJ at load
