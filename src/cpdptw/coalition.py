@@ -21,20 +21,37 @@ coalition could do strictly better on its own).
 cell, the cooperative cost, the gain over everyone working alone, and the
 core verdict -- ready to plot as a contour matrix.  Every coalition is
 priced with its own vehicles; coalitions whose vehicles have equal fields
-share one solve.
+share one joint cost.  Exact joint costs of small instances come from route
+tables instead of one branch and bound per coalition: vehicles start fresh
+and their routes never interact, so a coalition's optimum is a set partition
+of the pairs over its vehicles' tables (``solver._partition``), and each
+distinct vehicle's table is walked once for everything that shares the memo
+-- every cell of a sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
+import time as _time
+from collections import Counter
 from dataclasses import astuple, dataclass, field
 from itertools import combinations
 
 import numpy as np
 
+from . import solver
 from .instance import FleetSpec
 from .solver import EXACT_NODE_LIMIT, solve_exact, solve_heuristic
+
+LOG = logging.getLogger(__name__)
+
+# build_table's memo also holds, under keys no joint cost uses, the route
+# table and walk nodes of each vehicle (``(_TABLE, fields)``) and the counts
+# the sweep logs (``_COUNTS``)
+_TABLE = "route table"
+_COUNTS = "counts"
 
 
 @dataclass(frozen=True)
@@ -120,15 +137,39 @@ class CoalitionTable:
 # characteristic function
 
 
-def _solver_cost(inst, vehicles, nets, physics, solver_choice):
-    """Joint routing cost of an explicit vehicle list (inf when infeasible)."""
+def _solver_cost(inst, vehicles, nets, physics, solver_choice, memo):
+    """Joint routing cost of an explicit vehicle list (inf when infeasible).
+
+    No ``solver_choice`` means exact when 2N <= ``EXACT_NODE_LIMIT``, else
+    the heuristic.  Exact within that limit is the set-partition DP over
+    the vehicles' route tables, each walked the first time its vehicle's
+    fields appear in ``memo`` and kept there; exact above the limit is the
+    branch and bound.  Both give the proven optimum.
+    """
     fleet = FleetSpec(vehicles)
+    small = 2 * inst.n_customers <= EXACT_NODE_LIMIT
     choice = solver_choice
     if choice is None:
-        choice = "exact" if 2 * inst.n_customers <= EXACT_NODE_LIMIT \
-            else "heuristic"
-    run = solve_exact if choice == "exact" else solve_heuristic
-    report = run(inst, fleet, nets=nets, physics=physics)
+        choice = "exact" if small else "heuristic"
+    counts = memo.setdefault(_COUNTS, Counter())
+    if choice == "exact" and small:
+        ctx = solver._make_ctx(inst, fleet, nets, physics)
+        t0 = _time.perf_counter()
+        tables, walked = [], 0
+        for k, vehicle in enumerate(vehicles):
+            key = (_TABLE, astuple(vehicle))
+            if key not in memo:
+                memo[key] = solver._route_table(ctx, k)
+                walked += memo[key][1]
+                counts["tables"] += 1
+            tables.append(memo[key][0])
+        counts["walk_nodes"] += walked
+        counts["dp"] += 1
+        report = solver._partition(ctx, tables, walked, t0)
+    else:
+        run = solve_exact if choice == "exact" else solve_heuristic
+        counts["solver"] += 1
+        report = run(inst, fleet, nets=nets, physics=physics)
     if not report.feasible or report.solution is None:
         return math.inf
     return report.solution.total
@@ -159,28 +200,33 @@ def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
     bipartition are already in the table.  The joint cost of a coalition
     comes from ``cost_fn(uav_ids, adr_ids)`` when given (frozensets; +inf
     for coalitions it does not define), else from the solver on the
-    coalition's vehicles.  ``cache`` memoises joint costs on what they
-    depend on: the ids for ``cost_fn``, the vehicles' fields for the
-    solver.  Tables over the same inputs may share it.
+    coalition's vehicles (see ``_solver_cost``).  ``cache`` memoises joint
+    costs on what they depend on: the ids for ``cost_fn``, the vehicles'
+    fields for the solver.  It also keeps the exact pricing's route table
+    of every distinct vehicle.  Tables over the same inputs may share it.
     """
     uav_pool, adr_pool = _split_pool(fleet_pool)
     tbl = CoalitionTable(uav_ids=tuple(range(len(uav_pool))),
                          adr_ids=tuple(range(len(adr_pool))))
     memo = cache if cache is not None else {}
+    counts = memo.setdefault(_COUNTS, Counter())
     for coalition in tbl.subsets():
         if coalition.size == 0:
             continue
         if cost_fn is not None:
             key = (coalition.uavs, coalition.adrs)
-            if key not in memo:
-                memo[key] = cost_fn(*key)
         else:
             vehicles = [uav_pool[i] for i in sorted(coalition.uavs)] \
                 + [adr_pool[j] for j in sorted(coalition.adrs)]
             key = tuple(astuple(v) for v in vehicles)
-            if key not in memo:
-                memo[key] = _solver_cost(inst, vehicles, nets, physics,
-                                         solver_choice)
+        if key in memo:
+            counts["memo"] += 1
+        elif cost_fn is not None:
+            memo[key] = cost_fn(*key)
+            counts["cost_fn"] += 1
+        else:
+            memo[key] = _solver_cost(inst, vehicles, nets, physics,
+                                     solver_choice, memo)
         best = memo[key]
         for side1, side2 in _bipartitions(coalition):
             part = tbl.costs[side1] + tbl.costs[side2]
@@ -397,7 +443,9 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
     Per cell: the grand-coalition cost of the (d, r) sub-fleet, the gain of
     cooperating over everyone working alone (sum of singleton costs minus
     the grand cost), and the core verdict of that cell's table.  Solver
-    failures mark the cell failed without aborting the sweep.
+    failures mark the cell failed without aborting the sweep.  The cells
+    share one memo of joint costs and route tables; its counts go to one
+    DEBUG line on the ``cpdptw.coalition`` logger.
     """
     uav_pool, adr_pool = _split_pool(fleet_pool)
     m, n = len(uav_pool), len(adr_pool)
@@ -429,6 +477,11 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
                 cell.failed = True
                 cell.error = str(exc)
             cells.append(cell)
+    counts = cache.setdefault(_COUNTS, Counter())
+    LOG.debug("coalition sweep %dx%d: %d route tables walked (%d nodes); "
+              "joint costs: %d by DP, %d by a solver, %d by cost_fn, "
+              "%d from the memo", m, n, counts["tables"], counts["walk_nodes"],
+              counts["dp"], counts["solver"], counts["cost_fn"], counts["memo"])
     return SweepResult(m=m, n=n, cells=cells)
 
 
@@ -453,6 +506,11 @@ def sweep_summary(sweep):
     for cell in sweep.cells:
         if cell.failed:
             lines.append(f"  d={cell.d} r={cell.r}: FAILED ({cell.error})")
+            continue
+        if math.isinf(cell.cost):
+            grand = Coalition.of(range(cell.d), range(cell.r))
+            lines.append(f"  d={cell.d} r={cell.r}: infeasible, no coalition "
+                         f"of {grand.label()} serves every pair")
             continue
         verdict = {True: "nonempty", False: "empty", None: "not checked"}
         lines.append(f"  d={cell.d} r={cell.r}: C={cell.cost:.4f} "

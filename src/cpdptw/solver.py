@@ -4,7 +4,8 @@ Both solvers walk the same route space through one shared move generator.
 So does the testing oracle, ``solve_enumerate``: it enumerates every closed
 route of each distinct vehicle once, then partitions the customer pairs over
 those routes by dynamic programming, which is exact because vehicles start
-fresh and their routes never interact.  The moves are:
+fresh and their routes never interact.  The coalition sweep prices its small
+joint costs with the same tables and DP.  The moves are:
 
 * a *direct* move serves the next customer straight away;
 * a *composite* move (depot, customer) tops the battery up first — offered
@@ -381,36 +382,24 @@ def _route_table(ctx, k):
     return table, nodes
 
 
-def solve_enumerate(inst, fleet, nets=None, physics=None):
-    """Exhaustive enumeration of the same route space, as a correctness
-    oracle for small cases.
+def _partition(ctx, tables, nodes, t0):
+    """Cheapest set partition of the customer pairs over the route tables
+    ``tables[k]`` of vehicle ``k`` (see ``_route_table``), as a report.
 
-    Every vehicle starts fresh from its depot and no two routes interact,
-    so the optimum is a set partition of the customer pairs over the
-    vehicles' cheapest closed routes (Balinski & Quandt 1964).  Each
-    distinct vehicle's routes are enumerated once into a table (see
-    ``_route_table``); a DP from the last vehicle to the first then takes,
-    for every pair set S, the cheapest split of S into a route of vehicle
-    k and a set the later vehicles serve, scanning both in insertion order
-    with strict ``<``.  The winning plan is replayed, so its total is
-    computed exactly as the search's is.  ``nodes_expanded`` counts the
-    table walks' nodes; vehicles with equal fields share one table.
+    A DP from the last vehicle to the first takes, for every pair set S, the
+    cheapest split of S into a route of vehicle k and a set the later
+    vehicles serve, scanning both in insertion order with strict ``<``.
+    The winning plan is replayed, so its total is computed exactly as the
+    search's is.  ``nodes`` is the report's work count.
     """
-    ctx = _make_ctx(inst, fleet, nets, physics)
-    t0 = _time.perf_counter()
-    nv = len(fleet.vehicles)
-    tables, nodes = {}, 0
-    for k in range(nv):
-        if ctx.kind[k] not in tables:
-            tables[ctx.kind[k]], walked = _route_table(ctx, k)
-            nodes += walked
+    nv = len(tables)
     # levels[k][S] = (cost, T): vehicles k.. serve pair set S at ``cost``,
     # vehicle k taking its table's route for T
     best = {0: (0.0, 0)}
     levels = [None] * nv
     for k in reversed(range(nv)):
         level = {}
-        for t, (cost_t, _, _) in tables[ctx.kind[k]].items():
+        for t, (cost_t, _, _) in tables[k].items():
             for r, (cost_r, _) in best.items():
                 if t & r:
                     continue
@@ -425,10 +414,32 @@ def solve_enumerate(inst, fleet, nets=None, physics=None):
         plan = []
         for k in range(nv):
             t = levels[k][s][1]
-            _, moves, end = tables[ctx.kind[k]][t]
+            _, moves, end = tables[k][t]
             plan.append((moves, end))
             s ^= t
     return _report(ctx, plan, nodes, t0, True)
+
+
+def solve_enumerate(inst, fleet, nets=None, physics=None):
+    """Exhaustive enumeration of the same route space, as a correctness
+    oracle for small cases.
+
+    Every vehicle starts fresh from its depot and no two routes interact,
+    so the optimum is a set partition of the customer pairs over the
+    vehicles' cheapest closed routes (Balinski & Quandt 1964).  Each
+    distinct vehicle's routes are enumerated once into a table (see
+    ``_route_table``), and ``_partition`` picks the cheapest partition.
+    ``nodes_expanded`` counts the table walks' nodes; vehicles with equal
+    fields share one table.
+    """
+    ctx = _make_ctx(inst, fleet, nets, physics)
+    t0 = _time.perf_counter()
+    tables, nodes = {}, 0
+    for k in range(len(fleet.vehicles)):
+        if ctx.kind[k] not in tables:
+            tables[ctx.kind[k]], walked = _route_table(ctx, k)
+            nodes += walked
+    return _partition(ctx, [tables[kind] for kind in ctx.kind], nodes, t0)
 
 
 # ---------------------------------------------------------------------------

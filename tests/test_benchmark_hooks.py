@@ -1,7 +1,7 @@
 """The benchmark's tracing hooks still find the package attributes they wrap,
 its coalition sweep still reproduces the recorded optima, its exact-small
-cases still pass its correctness gate, and its attention rollouts still end
-where they did."""
+and coalition-sweep cases still pass its correctness gate, and its attention
+rollouts still end where they did."""
 
 import importlib.util
 import json
@@ -55,6 +55,63 @@ def test_exact_small_passes_the_benchmark_gate(monkeypatch):
     for case in inputs:
         cases.run_case("exact-small", case)
         assert cases.check_case("exact-small", case).problems == [], case.index
+
+
+# Coalition-sweep fingerprints ((d, r, repr(cost), core verdict) per cell) at
+# the held-out seed 7919, by case index, as recorded with one branch and bound
+# per distinct vehicle list.
+COALITION_SWEEP_CELLS = {
+    0: ((1, 1, '12.749992111611945', None),
+        (1, 2, '9.554176480285943', None),
+        (2, 1, '12.749992111611945', None),
+        (2, 2, '9.554176480285943', None)),
+    1: ((1, 1, '10.71765088319175', None),
+        (1, 2, '6.083385785877239', None),
+        (2, 1, '10.71765088319175', None),
+        (2, 2, '6.083385785877239', None)),
+    2: ((1, 1, 'inf', None),
+        (1, 2, '4.587365145918222', None),
+        (2, 1, 'inf', None),
+        (2, 2, '4.587365145918222', None)),
+    3: ((1, 1, '7.241257345374355', None),
+        (1, 2, '7.241257345374355', None),
+        (2, 1, '7.241257345374355', None),
+        (2, 2, '7.241257345374355', None)),
+    4: ((1, 1, '8.397671844555845', None),
+        (1, 2, '7.753929803943804', None),
+        (2, 1, '8.397671844555845', None),
+        (2, 2, '7.753929803943804', None)),
+    5: ((1, 1, '11.345509663795434', None),
+        (1, 2, '6.626498297907286', None),
+        (2, 1, '11.345509663795434', None),
+        (2, 2, '6.626498297907286', None)),
+    6: ((1, 1, '7.190446963208565', True),
+        (1, 2, '7.190446963208565', True),
+        (2, 1, '7.190446963208565', True),
+        (2, 2, '7.190446963208565', True)),
+    7: ((1, 1, '5.685185556602372', None),
+        (1, 2, '5.685185556602372', None),
+        (2, 1, '5.685185556602372', None),
+        (2, 2, '5.685185556602372', None)),
+    8: ((1, 1, '12.745442614409853', None),
+        (1, 2, '7.6828903039869285', None),
+        (2, 1, '12.745442614409853', None),
+        (2, 2, '7.6828903039869285', None)),
+}
+
+
+def test_coalition_sweep_passes_the_benchmark_gate(monkeypatch):
+    """Every coalition-sweep case at the held-out seed: no failed cell, every
+    coalition cost of every cell at its reference optimum, and the cells'
+    costs and core verdicts as recorded."""
+    cases = _load_cases(monkeypatch)
+    inputs = cases.build_inputs("coalition-sweep", 7919)
+    assert [case.index for case in inputs] == list(COALITION_SWEEP_CELLS)
+    for case in inputs:
+        cases.run_case("coalition-sweep", case)
+        verdict = cases.check_case("coalition-sweep", case)
+        assert verdict.problems == [], case.index
+        assert verdict.fingerprint == COALITION_SWEEP_CELLS[case.index], case.index
 
 
 # Rollout fingerprints (steps, complete, repr(total)) of the attention cases

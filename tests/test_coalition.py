@@ -1,16 +1,18 @@
 """Cooperative-game layer: characteristic tables, checks, core, sweeps."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from cpdptw import coalition, instance, toy
+from cpdptw import coalition, instance, network, solver, toy
 from cpdptw.coalition import (Coalition, CoalitionTable, agent_label,
                               build_table, check_convexity,
                               check_subadditivity, coalition_sweep, core_check,
                               sweep_summary, sweep_to_csv)
+from cpdptw.energy import PhysicsConfig, WindState
 from cpdptw.solver import solve_exact
 from cpdptw.instance import FleetSpec
 
@@ -174,18 +176,81 @@ def _uav_pair(depot):
     return uav, dataclasses.replace(uav, battery=0.5), adr
 
 
-@pytest.mark.parametrize("equal, solves", [(True, 5), (False, 7)])
-def test_equal_vehicles_share_one_solve(monkeypatch, equal, solves):
+def _count_walks(monkeypatch):
+    """Vehicles whose route table is walked, in order; a branch-and-bound
+    solve from the coalition module fails the test."""
+    walks = []
+    walk = solver._route_table
+
+    def counted(ctx, k):
+        walks.append(ctx.fleet.vehicles[k])
+        return walk(ctx, k)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("coalition.solve_exact ran")
+    monkeypatch.setattr(solver, "_route_table", counted)
+    monkeypatch.setattr(coalition, "solve_exact", no_search)
+    return walks
+
+
+@pytest.mark.parametrize("equal, walks", [(True, 2), (False, 3)])
+def test_equal_vehicles_share_one_route_table(monkeypatch, equal, walks):
     inst = instance.generate(2, n_depots=1, seed=5)
     uav, weak, adr = _uav_pair(inst.depot_nodes()[0])
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve_exact(*args, **kwargs)
-    monkeypatch.setattr(coalition, "solve_exact", counted)
+    walked = _count_walks(monkeypatch)
     build_table(inst, [uav, uav if equal else weak, adr])
-    assert len(calls) == solves
+    assert len(walked) == walks
+
+
+def _infeasible_corner():
+    """N=4 and a 2x2 default fleet; cells with one ADR serve no full plan."""
+    inst = instance.generate(4, n_depots=2, seed=2)
+    return inst, instance.default_fleet(2, 2, inst.depot_nodes()[0])
+
+
+def test_sweep_walks_each_distinct_vehicle_once(monkeypatch):
+    inst, pool = _infeasible_corner()
+    walked = _count_walks(monkeypatch)
+    sweep = coalition_sweep(inst, pool)
+    assert not any(cell.failed for cell in sweep.cells)
+    assert [v.mode for v in walked] == ["UAV", "ADR"]
+
+
+# (n_customers, n_depots, rho, wind, generator seed): every combination of
+# depots, density and wind over N = 1-5, on seeds with feasible coalitions
+_DP_CASES = [(1, 1, 0.0, "calm", 0), (1, 2, 0.3, "east", 1),
+             (2, 2, 0.0, "calm", 1), (2, 1, 0.3, "east", 1),
+             (3, 2, 0.0, "east", 0), (3, 1, 0.3, "calm", 2),
+             (4, 2, 0.3, "calm", 2), (4, 1, 0.0, "east", 1),
+             (5, 1, 0.3, "calm", 2), (5, 1, 0.0, "east", 2)]
+
+
+@pytest.mark.parametrize("n, depots, rho, wind, seed", _DP_CASES)
+def test_route_table_joint_costs_equal_branch_and_bound(monkeypatch, n, depots,
+                                                         rho, wind, seed):
+    inst = instance.generate(n, n_depots=depots, seed=seed)
+    nets = network.build_networks(inst, network.AdjacencySpec(rho=rho, seed=seed))
+    physics = PhysicsConfig(wind={"calm": WindState(), "east": WindState(
+        speed=12.0, course=0.0, model="constant")}[wind])
+    uav, weak, adr = _uav_pair(inst.depot_nodes()[0])
+    far_adr = dataclasses.replace(adr, start_depot=inst.depot_nodes()[-1])
+    reports = []
+    partition = solver._partition
+
+    def kept(ctx, tables, nodes, t0):
+        reports.append((ctx.fleet, partition(ctx, tables, nodes, t0)))
+        return reports[-1][1]
+    monkeypatch.setattr(solver, "_partition", kept)
+    build_table(inst, [uav, weak, adr, far_adr], nets=nets, physics=physics)
+    assert len(reports) == (11 if depots == 1 else 15)
+    assert any(rep.feasible for _, rep in reports)
+    for fleet, rep in reports:
+        exact = solve_exact(inst, fleet, nets, physics)
+        assert rep.feasible == exact.feasible
+        if rep.feasible:
+            assert rep.solution.total == exact.solution.total
+            assert solver.validate(rep.solution, inst, fleet, nets,
+                                   physics) == []
 
 
 def test_unequal_vehicles_are_each_priced_as_they_are():
@@ -348,6 +413,42 @@ def test_sweep_over_reference_costs(tmp_path):
     text = sweep_summary(sweep)
     assert "coalition sweep over 2 UAV(s) x 1 ADR(s)" in text
     assert "core nonempty" in text
+
+
+def test_sweep_logs_its_pricing(caplog):
+    inst, pool = _infeasible_corner()
+    uav, adr = pool.vehicles[0], pool.vehicles[2]
+    ctx = solver._make_ctx(inst, FleetSpec([uav, adr]), None, None)
+    nodes = solver._route_table(ctx, 0)[1] + solver._route_table(ctx, 1)[1]
+    with caplog.at_level(logging.DEBUG, logger="cpdptw.coalition"):
+        coalition_sweep(inst, pool)
+        coalition_sweep(inst, pool, solver_choice="heuristic")
+        coalition_sweep(*toy.build_toy_instance(),
+                        cost_fn=lambda uavs, adrs: 1.0)
+    # 8 distinct vehicle lists priced; 3 + 7 + 7 + 15 lookups in the cells
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "cpdptw.coalition"] == [
+        f"coalition sweep 2x2: 2 route tables walked ({nodes} nodes); joint "
+        f"costs: 8 by DP, 0 by a solver, 0 by cost_fn, 24 from the memo",
+        "coalition sweep 2x2: 0 route tables walked (0 nodes); joint costs: "
+        "0 by DP, 8 by a solver, 0 by cost_fn, 24 from the memo",
+        "coalition sweep 2x1: 0 route tables walked (0 nodes); joint costs: "
+        "0 by DP, 0 by a solver, 7 by cost_fn, 3 from the memo"]
+
+
+def test_summary_names_infeasible_cells(tmp_path):
+    inst, pool = _infeasible_corner()
+    sweep = coalition_sweep(inst, pool)
+    text = sweep_summary(sweep)
+    assert "  d=1 r=1: infeasible, no coalition of {D1,R1} serves every " \
+        "pair" in text
+    assert "  d=2 r=1: infeasible, no coalition of {D1,D2,R1} serves every " \
+        "pair" in text
+    assert "C=inf" not in text and "nan" not in text
+    assert "  d=2 r=2: C=" in text
+    path = tmp_path / "sweep.csv"
+    sweep_to_csv(sweep, path)
+    assert path.read_text().splitlines()[1] == "1,1,inf,nan,"
 
 
 def test_sweep_requires_both_modes():
