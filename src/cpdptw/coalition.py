@@ -43,6 +43,7 @@ import numpy as np
 
 from . import solver
 from .instance import FleetSpec
+from .network import build_networks
 from .solver import EXACT_NODE_LIMIT, solve_exact, solve_heuristic
 
 LOG = logging.getLogger(__name__)
@@ -162,6 +163,7 @@ def _solver_cost(inst, vehicles, nets, physics, solver_choice, memo):
                 memo[key] = solver._route_table(ctx, k)
                 walked += memo[key][1]
                 counts["tables"] += 1
+                counts["dominated"] += memo[key][2]
             tables.append(memo[key][0])
         counts["walk_nodes"] += walked
         counts["dp"] += 1
@@ -204,7 +206,10 @@ def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
     costs on what they depend on: the ids for ``cost_fn``, the vehicles'
     fields for the solver.  It also keeps the exact pricing's route table
     of every distinct vehicle.  Tables over the same inputs may share it.
+    Without ``nets`` the solver's networks are built once, here.
     """
+    if nets is None and cost_fn is None:
+        nets = build_networks(inst)
     uav_pool, adr_pool = _split_pool(fleet_pool)
     tbl = CoalitionTable(uav_ids=tuple(range(len(uav_pool))),
                          adr_ids=tuple(range(len(adr_pool))))
@@ -444,14 +449,17 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
     cooperating over everyone working alone (sum of singleton costs minus
     the grand cost), and the core verdict of that cell's table.  Solver
     failures mark the cell failed without aborting the sweep.  The cells
-    share one memo of joint costs and route tables; its counts go to one
-    DEBUG line on the ``cpdptw.coalition`` logger.
+    share one memo of joint costs and route tables, and without ``nets``
+    one build of the networks; the memo's counts go to one DEBUG line on
+    the ``cpdptw.coalition`` logger.
     """
     uav_pool, adr_pool = _split_pool(fleet_pool)
     m, n = len(uav_pool), len(adr_pool)
     if m < 1 or n < 1:
         raise ValueError(f"sweep needs at least one vehicle of each mode, "
                          f"got {m} UAVs and {n} ADRs")
+    if nets is None and cost_fn is None:
+        nets = build_networks(inst)
     cache = {}
     cells = []
     for d in range(1, m + 1):
@@ -478,9 +486,10 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
                 cell.error = str(exc)
             cells.append(cell)
     counts = cache.setdefault(_COUNTS, Counter())
-    LOG.debug("coalition sweep %dx%d: %d route tables walked (%d nodes); "
-              "joint costs: %d by DP, %d by a solver, %d by cost_fn, "
-              "%d from the memo", m, n, counts["tables"], counts["walk_nodes"],
+    LOG.debug("coalition sweep %dx%d: %d route tables walked (%d nodes, "
+              "%d partial routes dominated); joint costs: %d by DP, %d by a "
+              "solver, %d by cost_fn, %d from the memo", m, n,
+              counts["tables"], counts["walk_nodes"], counts["dominated"],
               counts["dp"], counts["solver"], counts["cost_fn"], counts["memo"])
     return SweepResult(m=m, n=n, cells=cells)
 

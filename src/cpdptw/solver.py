@@ -1,11 +1,22 @@
 """Exact branch-and-bound and construct-and-improve solvers.
 
 Both solvers walk the same route space through one shared move generator.
-So does the testing oracle, ``solve_enumerate``: it enumerates every closed
-route of each distinct vehicle once, then partitions the customer pairs over
-those routes by dynamic programming, which is exact because vehicles start
-fresh and their routes never interact.  The coalition sweep prices its small
-joint costs with the same tables and DP.  The moves are:
+So does the testing oracle, ``solve_enumerate``: it walks the closed routes
+of each distinct vehicle once into a table, then partitions the customer
+pairs over those routes by dynamic programming, which is exact because
+vehicles start fresh and their routes never interact.  The coalition sweep
+prices its small joint costs with the same tables and DP.
+
+Neither the branch and bound nor the table walk is literally exhaustive:
+both skip a partial route that an earlier-walked one at the same position,
+load, carried and served sets provably beats for every completion
+(``_dominated``): no later clock, no less battery, and a cost lower by more
+than the early-waiting weight times the clock gap plus the recharge time
+the battery gap could add.  The rule relies on legs whose time and energy
+do not depend on the clock, on vehicles that never idle by choice, and on
+weights ``>= 0``.  It changes no table entry, and no plan of a search that
+no budget stopped.  The heuristic keeps its own Pareto filter
+(``_prune_states``).  The moves are:
 
 * a *direct* move serves the next customer straight away;
 * a *composite* move (depot, customer) tops the battery up first — offered
@@ -44,6 +55,11 @@ _EPS = 1e-9
 
 # exact search is affordable up to this many customer nodes (2N)
 EXACT_NODE_LIMIT = 10
+
+# dominance scans only this many of the newest labels of a key: under
+# extreme weights a key can gather thousands of labels, while most hits
+# come from the newest few
+_DOMINANCE_SCAN = 8
 
 
 @dataclass
@@ -176,6 +192,58 @@ def _end_moves(ctx, k, rs):
     return out
 
 
+def _dominated(store, key, cost, clock, batt, w3e, rate):
+    """True when an earlier label of ``key`` in ``store`` beats this one for
+    every completion; else the label ``(cost, clock, batt)`` is stored.
+
+    ``key`` holds what the rest of a route depends on besides the clock and
+    the battery (position, float load, carried and served sets), and
+    ``w3e``/``rate`` are the early-waiting weight and the vehicle's charge
+    rate.  An earlier label A dominates this label B when ``clock_A <=
+    clock_B``, ``batt_A >= batt_B`` and
+
+        cost_A + w3e * (clock_B - clock_A + (batt_A - batt_B) / rate)
+            < cost_B - _EPS
+
+    (no battery term when ``rate == 0``).  Exact, because every completion
+    feasible for B is feasible for A at no more cost than this slack:
+
+    * legs cost the same time and energy at any clock (turbulence is keyed
+      per leg, energy by leg and load), so A keeps at least B's battery and
+      passes every floor, capacity and end check B passes;
+    * a vehicle never idles by choice, so A is never later than B: it meets
+      every pickup deadline B meets, and its lateness (``w3l >= 0``) is no
+      larger;
+    * A waits longer for a pickup window only by the clock gap, and each
+      such wait closes the gap by as much; the gap grows only at the first
+      recharge, where A, with more battery, charges ``(batt_A - batt_B) /
+      rate`` minutes less (after it both batteries are full), so A's extra
+      waiting over the whole completion is at most the bracket above;
+    * travel is priced the same, and every weight is ``>= 0``.
+
+    Only labels stored earlier prune and a pruned label is never stored,
+    so a walk keeps its order and its results, only without the subtrees
+    of pruned labels.  Only the newest ``_DOMINANCE_SCAN`` labels of a key
+    are kept and scanned.
+    """
+    labels = store.get(key)
+    if labels is None:
+        store[key] = [(cost, clock, batt)]
+        return False
+    bar = cost - _EPS
+    for cost_a, clock_a, batt_a in labels:
+        if clock_a <= clock and batt_a >= batt:
+            slack = clock - clock_a
+            if rate > 0:
+                slack += (batt_a - batt) / rate
+            if cost_a + w3e * slack < bar:
+                return True
+    labels.append((cost, clock, batt))
+    if len(labels) > _DOMINANCE_SCAN:
+        del labels[0]
+    return False
+
+
 def _replay(ctx, k, moves, end_depot):
     """Rebuild the Visit trail of a finished plan for vehicle ``k``."""
     veh = ctx.fleet.vehicles[k]
@@ -208,6 +276,9 @@ class _Search:
         self.best_cost = math.inf
         self.best_plan = None
         self.nodes = 0
+        self.labels = {}        # _dominated's store
+        self.dominated = 0      # partial routes dropped as dominated
+        self.cut = 0            # subtrees cut by the bound
         self.stopped = False
         self.t0 = _time.perf_counter()
         self._prepare_bound()
@@ -275,19 +346,25 @@ class _Search:
             return
         unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
         if cost + self._bound(k, None, unserved) >= self.best_cost:
+            self.cut += 1
             return
         self._route(k, ctx.fresh(k), served, cost, plans, [])
 
     def _route(self, k, rs, served, cost, plans, trail):
         if self.stopped:
             return
-        self._tick()
         ctx = self.ctx
+        pos, clock, batt, load, carried = rs
+        if _dominated(self.labels, (k, pos, load, carried, served), cost,
+                      clock, batt, ctx.w3e, ctx.fleet.vehicles[k].charge_rate):
+            self.dominated += 1
+            return
+        self._tick()
         unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
         if cost + self._bound(k, rs, unserved) >= self.best_cost:
+            self.cut += 1
             return
         n_cust = ctx.legs.n_cust
-        carried = rs[4]
         candidates = sorted([p + n_cust for p in carried]
                             + [p for p in range(n_cust)
                                if p not in served and p not in carried])
@@ -335,11 +412,20 @@ def solve_exact(inst, fleet, nets=None, physics=None, limits=None):
     The lower bound adds, for every unserved customer node, the cheapest
     alpha-weighted arc that could ever enter it (over the vehicles still
     available), plus the active vehicle's cheapest depot return — admissible,
-    since every unserved node must still be entered once.
+    since every unserved node must still be entered once.  A partial plan
+    that an earlier one with the same vehicle, position, load, carried and
+    served sets provably beats is skipped before it counts as a node (see
+    ``_dominated``), so the first minimum-cost plan in search order is
+    still the one returned.  One DEBUG line on ``cpdptw.solver`` gives the
+    nodes expanded, the partial plans skipped as dominated and the subtrees
+    cut by the bound.
     """
     limits = (limits or SolverLimits()).validate()
     ctx = _make_ctx(inst, fleet, nets, physics)
     search = _Search(ctx, limits).run()
+    LOG.debug("branch and bound: %d nodes expanded, %d partial routes "
+              "dominated, %d subtrees cut by the bound", search.nodes,
+              search.dominated, search.cut)
     return _report(ctx, search.best_plan, search.nodes, search.t0,
                    not search.stopped)
 
@@ -353,19 +439,28 @@ def _route_table(ctx, k):
 
     A depth-first walk from the fresh state through the same moves as the
     search, offering the carried deliveries and every pickup this route
-    has not served.  Returns ``(table, nodes)``: ``table`` maps the
-    bitmask of served pairs to ``(cost, moves, end_depot)``, keeping the
-    first strictly cheaper route in walk order, and ``nodes`` counts the
-    walk's nodes.
+    has not served, and skipping a partial route that an earlier one
+    provably beats (see ``_dominated``; it would never enter the table).
+    Returns ``(table, nodes, dominated)``: ``table`` maps the bitmask of
+    served pairs to ``(cost, moves, end_depot)``, keeping the first
+    strictly cheaper route in walk order, ``nodes`` counts the walk's
+    nodes and ``dominated`` the partial routes it skipped.
     """
     n_cust = ctx.legs.n_cust
+    w3e, rate = ctx.w3e, ctx.fleet.vehicles[k].charge_rate
     table = {}
-    nodes = 0
+    labels = {}
+    nodes = dominated = 0
 
     def walk(rs, served, cost, trail):
-        nonlocal nodes
+        nonlocal nodes, dominated
+        pos, clock, batt, load, carried = rs
+        if _dominated(labels, (pos, load, carried, served), cost, clock, batt,
+                      w3e, rate):
+            dominated += 1
+            return
         nodes += 1
-        candidates = sorted([p + n_cust for p in rs[4]]
+        candidates = sorted([p + n_cust for p in carried]
                             + [p for p in range(n_cust) if not served >> p & 1])
         for move, rs2, dcost in _successors(ctx, k, rs, candidates):
             c = move[1]
@@ -379,7 +474,7 @@ def _route_table(ctx, k):
                 table[served] = (total, list(trail), d)
 
     walk(ctx.fresh(k), 0, 0.0, [])
-    return table, nodes
+    return table, nodes, dominated
 
 
 def _partition(ctx, tables, nodes, t0):
@@ -421,24 +516,35 @@ def _partition(ctx, tables, nodes, t0):
 
 
 def solve_enumerate(inst, fleet, nets=None, physics=None):
-    """Exhaustive enumeration of the same route space, as a correctness
-    oracle for small cases.
+    """Enumeration of the same route space, as a correctness oracle for
+    small cases.
 
     Every vehicle starts fresh from its depot and no two routes interact,
     so the optimum is a set partition of the customer pairs over the
     vehicles' cheapest closed routes (Balinski & Quandt 1964).  Each
-    distinct vehicle's routes are enumerated once into a table (see
+    distinct vehicle's routes are walked once into a table (see
     ``_route_table``), and ``_partition`` picks the cheapest partition.
-    ``nodes_expanded`` counts the table walks' nodes; vehicles with equal
-    fields share one table.
+    The walk is not exhaustive: it skips every partial route that an
+    earlier one at the same position, load, carried and served sets beats
+    for all completions (``_dominated``: no later, no less battery, and
+    cheaper by more than the waiting the clock and battery gaps could
+    cost).  That rule holds because legs are priced independently of the
+    clock, vehicles never idle by choice and the weights are ``>= 0``, and
+    a skipped route would never enter the table, so every table is the
+    exhaustive walk's.  ``nodes_expanded`` counts the walks' nodes, not
+    the skipped ones; vehicles with equal fields share one table.  One
+    DEBUG line on ``cpdptw.solver`` gives the tables, nodes and skips.
     """
     ctx = _make_ctx(inst, fleet, nets, physics)
     t0 = _time.perf_counter()
-    tables, nodes = {}, 0
+    tables, nodes, dominated = {}, 0, 0
     for k in range(len(fleet.vehicles)):
         if ctx.kind[k] not in tables:
-            tables[ctx.kind[k]], walked = _route_table(ctx, k)
+            tables[ctx.kind[k]], walked, dropped = _route_table(ctx, k)
             nodes += walked
+            dominated += dropped
+    LOG.debug("enumeration: %d route tables, %d nodes expanded, %d partial "
+              "routes dominated", len(tables), nodes, dominated)
     return _partition(ctx, [tables[kind] for kind in ctx.kind], nodes, t0)
 
 

@@ -216,6 +216,26 @@ def test_sweep_walks_each_distinct_vehicle_once(monkeypatch):
     assert [v.mode for v in walked] == ["UAV", "ADR"]
 
 
+def test_sweep_builds_the_networks_once(monkeypatch):
+    builds = []
+    for module in (coalition, solver):
+        def counted(inst, *args, _build=module.build_networks, **kwargs):
+            builds.append(inst)
+            return _build(inst, *args, **kwargs)
+        monkeypatch.setattr(module, "build_networks", counted)
+    inst, pool = _infeasible_corner()
+    for choice in (None, "heuristic"):
+        builds.clear()
+        coalition_sweep(inst, pool, solver_choice=choice)
+        assert builds == [inst], choice
+        builds.clear()
+        build_table(inst, pool, solver_choice=choice)
+        assert builds == [inst], choice
+    builds.clear()
+    coalition_sweep(inst, pool, cost_fn=lambda uavs, adrs: 1.0)
+    assert builds == []
+
+
 # (n_customers, n_depots, rho, wind, generator seed): every combination of
 # depots, density and wind over N = 1-5, on seeds with feasible coalitions
 _DP_CASES = [(1, 1, 0.0, "calm", 0), (1, 2, 0.3, "east", 1),
@@ -419,7 +439,10 @@ def test_sweep_logs_its_pricing(caplog):
     inst, pool = _infeasible_corner()
     uav, adr = pool.vehicles[0], pool.vehicles[2]
     ctx = solver._make_ctx(inst, FleetSpec([uav, adr]), None, None)
-    nodes = solver._route_table(ctx, 0)[1] + solver._route_table(ctx, 1)[1]
+    walks = [solver._route_table(ctx, k) for k in (0, 1)]
+    nodes = sum(walk[1] for walk in walks)
+    dominated = sum(walk[2] for walk in walks)
+    assert dominated > 0
     with caplog.at_level(logging.DEBUG, logger="cpdptw.coalition"):
         coalition_sweep(inst, pool)
         coalition_sweep(inst, pool, solver_choice="heuristic")
@@ -428,12 +451,15 @@ def test_sweep_logs_its_pricing(caplog):
     # 8 distinct vehicle lists priced; 3 + 7 + 7 + 15 lookups in the cells
     assert [r.getMessage() for r in caplog.records
             if r.name == "cpdptw.coalition"] == [
-        f"coalition sweep 2x2: 2 route tables walked ({nodes} nodes); joint "
-        f"costs: 8 by DP, 0 by a solver, 0 by cost_fn, 24 from the memo",
-        "coalition sweep 2x2: 0 route tables walked (0 nodes); joint costs: "
-        "0 by DP, 8 by a solver, 0 by cost_fn, 24 from the memo",
-        "coalition sweep 2x1: 0 route tables walked (0 nodes); joint costs: "
-        "0 by DP, 0 by a solver, 7 by cost_fn, 3 from the memo"]
+        f"coalition sweep 2x2: 2 route tables walked ({nodes} nodes, "
+        f"{dominated} partial routes dominated); joint costs: 8 by DP, 0 by a "
+        f"solver, 0 by cost_fn, 24 from the memo",
+        "coalition sweep 2x2: 0 route tables walked (0 nodes, 0 partial "
+        "routes dominated); joint costs: 0 by DP, 8 by a solver, 0 by "
+        "cost_fn, 24 from the memo",
+        "coalition sweep 2x1: 0 route tables walked (0 nodes, 0 partial "
+        "routes dominated); joint costs: 0 by DP, 0 by a solver, 7 by "
+        "cost_fn, 3 from the memo"]
 
 
 def test_summary_names_infeasible_cells(tmp_path):

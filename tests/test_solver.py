@@ -1,9 +1,10 @@
-"""Branch-and-bound, exhaustive enumeration, insertion heuristic, validation."""
+"""Branch-and-bound, enumeration oracle, insertion heuristic, validation."""
 
 import dataclasses
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from cpdptw import env, instance, solver
 from cpdptw.energy import PhysicsConfig, WindState
 from cpdptw.instance import Customer, Depot, FleetSpec, Instance, Vehicle
-from cpdptw.network import build_networks
+from cpdptw.network import AdjacencySpec, build_networks
 from cpdptw.solver import (SolverLimits, gap, solve_enumerate, solve_exact,
                            solve_heuristic, validate)
 from conftest import make_case
@@ -26,7 +27,7 @@ def _recipe_case(seed):
     return inst, fleet
 
 
-# -- exact vs exhaustive ---------------------------------------------------------
+# -- exact vs enumeration --------------------------------------------------------
 
 
 def test_exact_equals_enumeration_on_seed_slice():
@@ -50,9 +51,12 @@ def test_exact_equals_enumeration_on_seed_slice():
             en.nodes_expanded, seed
 
 
-def test_exact_equals_enumeration_at_five_pairs():
+def _exact_equals_enumeration(n):
+    """Both exact solvers on seeds 0-7 at ``n`` pairs: the same optimum,
+    bitwise, and the same plan; returns the number of feasible seeds."""
+    feasible = 0
     for seed in range(8):
-        inst = instance.generate(n_customers=5, n_depots=1 + seed % 2,
+        inst = instance.generate(n_customers=n, n_depots=1 + seed % 2,
                                  seed=seed)
         fleet = instance.default_fleet(1 + seed % 2, 1, inst.depot_nodes()[0])
         ex = solve_exact(inst, fleet)
@@ -60,7 +64,19 @@ def test_exact_equals_enumeration_at_five_pairs():
         assert ex.proven_optimal and en.proven_optimal, seed
         assert ex.feasible == en.feasible, seed
         if ex.feasible:
+            feasible += 1
             assert ex.solution.total == en.solution.total, seed
+            assert [r.visits for r in en.solution.routes] == \
+                [r.visits for r in ex.solution.routes], seed
+    return feasible
+
+
+def test_exact_equals_enumeration_at_five_pairs():
+    assert _exact_equals_enumeration(5) == 5
+
+
+def test_exact_equals_enumeration_at_six_pairs():
+    assert _exact_equals_enumeration(6) == 4
 
 
 def test_solver_plans_replay_through_the_simulator():
@@ -122,6 +138,131 @@ def test_exact_solutions_validate_and_decompose():
         recomputed = env.episode_cost(report.solution, inst)
         assert report.solution.total == pytest.approx(recomputed["total"],
                                                       abs=1e-9)
+
+
+# -- dominance pruning -------------------------------------------------------------
+
+
+def _unpruned_route_table(ctx, k):
+    """The reference for ``solver._route_table``: the same walk through
+    ``_successors``/``_end_moves`` without dominance pruning."""
+    n_cust = ctx.legs.n_cust
+    table = {}
+
+    def walk(rs, served, cost, trail):
+        candidates = sorted([p + n_cust for p in rs[4]]
+                            + [p for p in range(n_cust) if not served >> p & 1])
+        for move, rs2, dcost in solver._successors(ctx, k, rs, candidates):
+            c = move[1]
+            trail.append(move)
+            walk(rs2, served | (1 << c) if c < n_cust else served,
+                 cost + dcost, trail)
+            trail.pop()
+        for d, dcost in solver._end_moves(ctx, k, rs):
+            total = cost + dcost
+            if served not in table or total < table[served][0]:
+                table[served] = (total, list(trail), d)
+
+    walk(ctx.fresh(k), 0, 0.0, [])
+    return table
+
+
+# Dominance grid cases: (generator seed, N, depots, window profile,
+# alpha3_early, alpha3_late, charge-rate factor, battery factor, UAVs, rho,
+# wind).  Both factors scale every vehicle's default; a charge rate of 0 is
+# an instant recharge.  The pinned cases catch a rule without its margin
+# (an early weight equal to the ADR's travel weight, 0.1, trades waiting
+# one for one with riding, so partial routes tie to the last bit) and one
+# without its battery term.
+_STRESS_PINNED = [(1231, 4, 2, "uniform", 0.1, 0.05, 0.0, 0.6, 1, 0.0, "none"),
+                  (1350, 4, 2, "tight", 2.0, 3.0, 1.0, 1.0, 1, 0.0, "none")]
+
+
+def _stress_grid(size):
+    """``size`` seeded draws over the grid's values, then the pinned cases."""
+    rng = random.Random(0)
+    for seed in range(size):
+        yield (seed, rng.choice((1, 2, 3, 3, 4, 4)), rng.choice((1, 2)),
+               rng.choice(("uniform", "poisson-peak", "tight")),
+               rng.choice((0.01, 0.1, 2.0, 50.0)), rng.choice((0.0, 0.05, 3.0)),
+               rng.choice((1.0, 0.0, 0.05)), rng.choice((1.0, 0.6)),
+               rng.choice((1, 2)), rng.choice((0.0, 0.3, 0.7)),
+               rng.choice(("none", "east", "turbulent")))
+    yield from _STRESS_PINNED
+
+
+def _stress_case(seed, n, depots, profile, early, late, rate, battery, n_uav,
+                 rho, wind):
+    inst = instance.generate(n, n_depots=depots, window_profile=profile,
+                             seed=seed)
+    inst = dataclasses.replace(inst, cost_weights=dataclasses.replace(
+        inst.cost_weights, alpha3_early=early, alpha3_late=late))
+    fleet = instance.default_fleet(n_uav, 1, inst.depot_nodes()[0])
+    fleet = FleetSpec([dataclasses.replace(v, battery=v.battery * battery,
+                                           charge_rate=v.charge_rate * rate)
+                       for v in fleet.vehicles])
+    nets = build_networks(inst, AdjacencySpec(rho=rho, seed=seed))
+    wind = {"none": WindState(),
+            "east": WindState(speed=12.0, course=0.0, model="constant"),
+            "turbulent": WindState(speed=12.0, course=0.0, model="turbulent",
+                                   seed=seed)}[wind]
+    return inst, fleet, nets, PhysicsConfig(wind=wind)
+
+
+def test_dominance_keeps_every_table_entry_and_plan():
+    """Route tables equal the unpruned walk's entry for entry, and both
+    exact solvers return the plan the unpruned tables give, visit for
+    visit, on a seeded grid of N = 1-4."""
+    feasible = dominated = 0
+    for spec in _stress_grid(150):
+        seed = spec[0]
+        inst, fleet, nets, physics = _stress_case(*spec)
+        ctx = solver._make_ctx(inst, fleet, nets, physics)
+        tables = {}
+        for k, kind in enumerate(ctx.kind):
+            if kind in tables:
+                continue
+            tables[kind] = _unpruned_route_table(ctx, k)
+            table, _, dropped = solver._route_table(ctx, k)
+            dominated += dropped
+            assert {s: (repr(c), mv, d) for s, (c, mv, d) in table.items()} \
+                == {s: (repr(c), mv, d) for s, (c, mv, d)
+                    in tables[kind].items()}, (seed, k)
+        want = solver._partition(ctx, [tables[kind] for kind in ctx.kind],
+                                 0, 0.0)
+        for report in (solve_exact(inst, fleet, nets, physics),
+                       solve_enumerate(inst, fleet, nets, physics)):
+            assert report.feasible == want.feasible, seed
+            if want.feasible:
+                assert [r.visits for r in report.solution.routes] == \
+                    [r.visits for r in want.solution.routes], seed
+        feasible += want.feasible
+    assert feasible >= 75 and dominated > 0
+
+
+def test_exact_solvers_log_their_effort(caplog):
+    inst, fleet = _recipe_case(3)
+    lines = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cpdptw.solver"):
+            ex = solve_exact(inst, fleet)
+            en = solve_enumerate(inst, fleet)
+        lines.append([r.getMessage() for r in caplog.records
+                      if r.name == "cpdptw.solver"])
+    assert lines[0] == lines[1]         # deterministic counts only
+    bnb, enum = lines[0]
+    dominated, cut = map(int, re.fullmatch(
+        rf"branch and bound: {ex.nodes_expanded} nodes expanded, (\d+) "
+        r"partial routes dominated, (\d+) subtrees cut by the bound",
+        bnb).groups())
+    assert dominated > 0 and cut > 0
+    ctx = solver._make_ctx(inst, fleet, None, None)
+    walks = [solver._route_table(ctx, k) for k in sorted(set(ctx.kind))]
+    assert en.nodes_expanded == sum(walk[1] for walk in walks)
+    assert enum == (f"enumeration: 2 route tables, {en.nodes_expanded} nodes "
+                    f"expanded, {sum(walk[2] for walk in walks)} partial "
+                    f"routes dominated")
 
 
 # -- limits ------------------------------------------------------------------------
