@@ -49,9 +49,11 @@ from .solver import EXACT_NODE_LIMIT, solve_exact, solve_heuristic
 LOG = logging.getLogger(__name__)
 
 # build_table's memo also holds, under keys no joint cost uses, the route
-# table and walk nodes of each vehicle (``(_TABLE, fields)``) and the counts
+# table and walk nodes of each vehicle (``(_TABLE, fields)``), the leg
+# tables those walks and the plan replays share (``_LEGS``) and the counts
 # the sweep logs (``_COUNTS``)
 _TABLE = "route table"
+_LEGS = "leg costs"
 _COUNTS = "counts"
 
 
@@ -144,8 +146,10 @@ def _solver_cost(inst, vehicles, nets, physics, solver_choice, memo):
     No ``solver_choice`` means exact when 2N <= ``EXACT_NODE_LIMIT``, else
     the heuristic.  Exact within that limit is the set-partition DP over
     the vehicles' route tables, each walked the first time its vehicle's
-    fields appear in ``memo`` and kept there; exact above the limit is the
-    branch and bound.  Both give the proven optimum.
+    fields appear in ``memo`` and kept there, as is the one ``LegCosts``
+    that every walk and plan replay of the memo prices its legs with;
+    exact above the limit is the branch and bound.  Both give the proven
+    optimum.
     """
     fleet = FleetSpec(vehicles)
     small = 2 * inst.n_customers <= EXACT_NODE_LIMIT
@@ -154,7 +158,8 @@ def _solver_cost(inst, vehicles, nets, physics, solver_choice, memo):
         choice = "exact" if small else "heuristic"
     counts = memo.setdefault(_COUNTS, Counter())
     if choice == "exact" and small:
-        ctx = solver._make_ctx(inst, fleet, nets, physics)
+        ctx = solver._make_ctx(inst, fleet, nets, physics, memo.get(_LEGS))
+        memo[_LEGS] = ctx.legs
         t0 = _time.perf_counter()
         tables, walked = [], 0
         for k, vehicle in enumerate(vehicles):

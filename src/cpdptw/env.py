@@ -84,7 +84,9 @@ class LegCosts:
         if i == j:
             return 0.0
         key = (vehicle.mode, vehicle.max_speed, half)
-        table = self._time.setdefault(key, {})
+        table = self._time.get(key)
+        if table is None:
+            table = self._time[key] = {}
         hit = table.get((i, j))
         if hit is None:
             hit = self.nets.graph(vehicle.mode).travel_min(
@@ -96,7 +98,9 @@ class LegCosts:
         if i == j:
             return 0.0
         key = (vehicle.mode, vehicle.max_speed, half, load)
-        table = self._energy.setdefault(key, {})
+        table = self._energy.get(key)
+        if table is None:
+            table = self._energy[key] = {}
         hit = table.get((i, j))
         if hit is None:
             hit = self._price_leg(vehicle, i, j, load, half)
@@ -120,6 +124,11 @@ class LegCosts:
                                 ph.wind, params, course=course,
                                 formula=ph.wind_formula, leg_key=(a, b))
         return total
+
+    def priced(self):
+        """Entries priced so far: leg times plus leg energies."""
+        return (sum(map(len, self._time.values()))
+                + sum(map(len, self._energy.values())))
 
     def depot_reserve_kj(self, vehicle, node, load):
         """Cheapest half-speed escape to any depot from ``node``."""
@@ -326,7 +335,9 @@ def advance(legs, veh, pos, clock, batt, load, node):
     ``(t_leg, arrival, departure, battery_arrival, battery_after,
     load_after, wait, late)``, where ``wait`` is the idle time before a
     pickup window opens and ``late`` the tardiness of a delivery (both zero
-    elsewhere).  Pure: feasibility is left to the caller.
+    elsewhere).  Pure: feasibility is left to the caller.  The solvers'
+    move generator (``solver._moves``) repeats this arithmetic inline, with
+    each leg looked up once for a whole batch of route labels.
     """
     half = node >= legs.ncust2
     t_leg = legs.time_min(veh, pos, node, half)

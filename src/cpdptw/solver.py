@@ -5,7 +5,11 @@ So does the testing oracle, ``solve_enumerate``: it walks the closed routes
 of each distinct vehicle once into a table, then partitions the customer
 pairs over those routes by dynamic programming, which is exact because
 vehicles start fresh and their routes never interact.  The coalition sweep
-prices its small joint costs with the same tables and DP.
+prices its small joint costs with the same tables and DP.  The generator
+(``_moves``) takes a batch of labels -- the clocks and batteries of partial
+routes at one position with one load and carried set -- and looks each leg
+up once for the whole batch: the heuristic's Pareto sweep passes every
+label of a prefix, the branch and bound and the table walk their one.
 
 Neither the branch and bound nor the table walk is literally exhaustive:
 both skip a partial route that an earlier-walked one at the same position,
@@ -94,10 +98,10 @@ class SolveReport:
 
 
 class _Ctx:
-    def __init__(self, inst, fleet, nets, physics):
+    def __init__(self, inst, fleet, legs):
         self.inst = inst
         self.fleet = fleet
-        self.legs = LegCosts(inst, nets, physics)
+        self.legs = legs
         w = inst.cost_weights
         self.alpha = [w.alpha1 if v.mode == "UAV" else w.alpha2
                       for v in fleet.vehicles]
@@ -109,32 +113,45 @@ class _Ctx:
         # sequence identically, so they share one root
         self.kind = [fleet.vehicles.index(v) for v in fleet.vehicles]
         self.roots = {}
-        self.trie_stats = [0, 0, 0]     # lookups, extensions, dead hits
+        # lookups, extensions, dead hits, labels extended
+        self.trie_stats = [0, 0, 0, 0]
 
     def fresh(self, k):
         v = self.fleet.vehicles[k]
         return (v.start_depot, 0.0, v.battery, 0.0, frozenset())
 
 
-def _successors(ctx, k, rs, candidates):
-    """Feasible ``(move, new_rs, added_cost)`` from ``rs``, in move order.
+def _moves(ctx, k, pos, load, carried, labels, candidates):
+    """Feasible ``(i, move, new_rs, added_cost)`` from a batch of labels.
 
-    A move is (depot-or-None, customer): serve the customer straight away,
-    or recharge at the depot first.  Every customer also comes in composite
+    Every label ``labels[i] = (clock, battery)`` stands at ``pos`` with
+    ``load`` on board and the customer ids ``carried``.  A move is
+    (depot-or-None, customer): serve the customer straight away, or
+    recharge at the depot first.  Every customer also comes in composite
     variants: stopping early -- before the battery actually blocks -- is
     sometimes the only way to keep a later leg alive.  No composite is
     offered from a depot (the battery is already full there and
     depot-to-depot hops are not legal moves), nor for a customer that
     capacity or its pickup deadline already rules out.
+
+    Moves come in candidate order, then label order, each direct move
+    before its composites in ``ctx.depots`` order.  Each leg is looked up
+    once for the batch, and a depot stop or a depot-to-customer leg only
+    when some label reaches it; the clock and battery arithmetic is
+    ``env.advance``'s, operation for operation.
     """
     veh = ctx.fleet.vehicles[k]
     legs = ctx.legs
-    pos, clock, batt, load, carried = rs
     n_cust = legs.n_cust
     floor = ctx.floor[k] - 1e-12
     alpha, w3e, w3l = ctx.alpha[k], ctx.w3e, ctx.w3l
-    # recharge stops reachable from rs: (depot, departure, cost), built once
-    stops = [] if pos >= legs.ncust2 else None
+    service = legs.inst.service_time
+    full, rate = veh.battery, veh.charge_rate
+    depots = ctx.depots
+    # per label, its reachable recharge stops (depot index, departure,
+    # cost); from a depot there are none
+    stops = [()] * len(labels) if pos >= legs.ncust2 else [None] * len(labels)
+    to_depot = None         # (t, energy) of the leg pos -> each depot
     out = []
     for c in candidates:
         pickup = c < n_cust
@@ -142,30 +159,65 @@ def _successors(ctx, k, rs, candidates):
             if load + legs.demand[c] > veh.capacity + _EPS:
                 continue
             carried2 = carried | {c}
+            early = legs.win_e[c]
         else:
             carried2 = carried - {c - n_cust}
-        t, arrival, dep, e_arr, _, load2, wait, late = advance(
-            legs, veh, pos, clock, batt, load, c)
-        if pickup and arrival > legs.win_l[c] + _EPS:
-            continue
-        if e_arr >= floor:
-            out.append(((None, c), (c, dep, e_arr, load2, carried2),
-                        alpha * t + (w3e * wait if pickup else w3l * late)))
-        if stops is None:
-            stops = []
-            for d in ctx.depots:
-                t_d, _, dep_d, e_d, _, _, _, _ = advance(
-                    legs, veh, pos, clock, batt, load, d)
-                if e_d >= floor:
-                    stops.append((d, dep_d, alpha * t_d))
-        for d, dep_d, cost_d in stops:
-            t, arrival, dep, e_arr, _, load2, wait, late = advance(
-                legs, veh, d, dep_d, veh.battery, load, c)
-            if (pickup and arrival > legs.win_l[c] + _EPS) or e_arr < floor:
-                continue
-            out.append(((d, c), (c, dep, e_arr, load2, carried2),
-                        cost_d + (alpha * t + (w3e * wait if pickup
-                                               else w3l * late))))
+        close = legs.win_l[c]
+        load2 = load + legs.demand[c]
+        t = legs.time_min(veh, pos, c)
+        e = legs.energy_kj(veh, pos, c, load)
+        travel = alpha * t
+        via = [None] * len(depots)      # (t, energy) of depot -> c legs
+        for i, (clock, batt) in enumerate(labels):
+            arrival = clock + t
+            if pickup:
+                if arrival > close + _EPS:
+                    continue
+                dep = max(arrival, early) + service
+                pen = w3e * max(early - arrival, 0.0)
+            else:
+                dep = arrival + service
+                pen = w3l * max(arrival - close, 0.0)
+            e_arr = batt - e
+            if e_arr >= floor:
+                out.append((i, (None, c), (c, dep, e_arr, load2, carried2),
+                            travel + pen))
+            label_stops = stops[i]
+            if label_stops is None:
+                if to_depot is None:
+                    to_depot = [(legs.time_min(veh, pos, d, True),
+                                 legs.energy_kj(veh, pos, d, load, True))
+                                for d in depots]
+                label_stops = stops[i] = []
+                for di, (t_d, e_d) in enumerate(to_depot):
+                    e_d = batt - e_d
+                    if e_d >= floor:
+                        recharge = (max(full - e_d, 0.0) / rate
+                                    if rate > 0 else 0.0)
+                        label_stops.append((di, clock + t_d + recharge,
+                                            alpha * t_d))
+            for di, dep_d, cost_d in label_stops:
+                leg = via[di]
+                if leg is None:
+                    d = depots[di]
+                    leg = via[di] = (legs.time_min(veh, d, c),
+                                     legs.energy_kj(veh, d, c, load))
+                t2, e2 = leg
+                arrival = dep_d + t2
+                if pickup:
+                    if arrival > close + _EPS:
+                        continue
+                    dep = max(arrival, early) + service
+                    pen = w3e * max(early - arrival, 0.0)
+                else:
+                    dep = arrival + service
+                    pen = w3l * max(arrival - close, 0.0)
+                e_arr = full - e2
+                if e_arr < floor:
+                    continue
+                out.append((i, (depots[di], c),
+                            (c, dep, e_arr, load2, carried2),
+                            cost_d + (alpha * t2 + pen)))
     return out
 
 
@@ -368,7 +420,8 @@ class _Search:
         candidates = sorted([p + n_cust for p in carried]
                             + [p for p in range(n_cust)
                                if p not in served and p not in carried])
-        for move, rs2, dcost in _successors(ctx, k, rs, candidates):
+        for _, move, rs2, dcost in _moves(ctx, k, pos, load, carried,
+                                          ((clock, batt),), candidates):
             trail.append(move)
             self._route(k, rs2, served | {move[1]}, cost + dcost, plans, trail)
             trail.pop()
@@ -396,14 +449,18 @@ def _report(ctx, plan, nodes, t0, proven):
                        nodes_expanded=nodes, wall_time=wall)
 
 
-def _make_ctx(inst, fleet, nets, physics):
+def _make_ctx(inst, fleet, nets, physics, legs=None):
+    """Search context; ``legs`` reuses a ``LegCosts`` of the same instance,
+    networks and physics (``nets`` and ``physics`` are then ignored)."""
     inst.validate()
     fleet.validate(inst)
-    if nets is None:
-        nets = build_networks(inst)
-    if physics is None:
-        physics = PhysicsConfig()
-    return _Ctx(inst, fleet, nets, physics)
+    if legs is None:
+        if nets is None:
+            nets = build_networks(inst)
+        if physics is None:
+            physics = PhysicsConfig()
+        legs = LegCosts(inst, nets, physics)
+    return _Ctx(inst, fleet, legs)
 
 
 def solve_exact(inst, fleet, nets=None, physics=None, limits=None):
@@ -462,7 +519,8 @@ def _route_table(ctx, k):
         nodes += 1
         candidates = sorted([p + n_cust for p in carried]
                             + [p for p in range(n_cust) if not served >> p & 1])
-        for move, rs2, dcost in _successors(ctx, k, rs, candidates):
+        for _, move, rs2, dcost in _moves(ctx, k, pos, load, carried,
+                                          ((clock, batt),), candidates):
             c = move[1]
             trail.append(move)
             walk(rs2, served | (1 << c) if c < n_cust else served,
@@ -557,12 +615,12 @@ def _prune_states(states):
     states.sort(key=lambda s: (s[0], s[1][1], -s[1][2]))
     kept = []
     for item in states:
-        cost, rs = item[0], item[1]
-        dominated = any(
-            kp[0] <= cost + 1e-12 and kp[1][1] <= rs[1] + 1e-12
-            and kp[1][2] >= rs[2] - 1e-12
-            for kp in kept)
-        if not dominated:
+        rs = item[1]
+        cost, clock, batt = item[0] + 1e-12, rs[1] + 1e-12, rs[2] - 1e-12
+        for kp in kept:
+            if kp[0] <= cost and kp[1][1] <= clock and kp[1][2] >= batt:
+                break
+        else:
             kept.append(item)
     return kept
 
@@ -594,13 +652,15 @@ _DEAD.end = (math.inf, None, None)
 
 
 def _extend(ctx, k, node, c):
-    """The child of ``node`` for customer ``c``: one Pareto sweep step."""
-    pos, load, carried = node.pos, node.load, node.carried
+    """The child of ``node`` for customer ``c``: one Pareto sweep step,
+    with all of the node's labels moved as one batch."""
+    labels = node.labels
+    ctx.trie_stats[3] += len(labels)
     states = _prune_states([
-        (cost + dc, rs2, (move, chain))
-        for cost, clock, batt, chain in node.labels
-        for move, rs2, dc in _successors(
-            ctx, k, (pos, clock, batt, load, carried), (c,))])
+        (labels[i][0] + dc, rs2, (move, labels[i][3]))
+        for i, move, rs2, dc in _moves(
+            ctx, k, node.pos, node.load, node.carried,
+            [(clock, batt) for _, clock, batt, _ in labels], (c,))])
     if not states:
         return _DEAD
     pos, _, _, load, carried = states[0][1]
@@ -663,8 +723,10 @@ def _seq_eval(ctx, k, seq):
     stay in a trie that lives as long as ``ctx`` (one per distinct
     vehicle), so a sequence pays only for the suffix no earlier call has
     priced, and every sequence through an infeasible prefix stops at one
-    shared dead node.  Returns (cost, moves, end_depot) of the cheapest
-    full realization or (inf, None, None).
+    shared dead node.  Each extension hands all of a prefix's labels to
+    the move generator as one batch, so the prefix's legs are looked up
+    once, not once per label.  Returns (cost, moves, end_depot) of the
+    cheapest full realization or (inf, None, None).
     """
     cost, chain, end = _closed(ctx, k, _walk(ctx, k, _root(ctx, k), seq))
     if math.isinf(cost):
@@ -864,7 +926,8 @@ def _construct(ctx, rule, order):
 
 def _log_trie(ctx):
     LOG.debug("heuristic label trie: %d lookups, %d prefix extensions, "
-              "%d dead-prefix hits", *ctx.trie_stats)
+              "%d dead-prefix hits, %d labels extended, %d legs priced",
+              *ctx.trie_stats, ctx.legs.priced())
 
 
 def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
@@ -880,8 +943,9 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
     the final route rebuild are priced through one label trie per
     distinct vehicle (see ``_seq_eval``), which lives for this call: a
     candidate pays only for the suffix no earlier candidate has priced.
-    The trie's lookup, extension and dead-prefix counts are logged at
-    DEBUG on ``cpdptw.solver``.
+    The trie's lookup, extension and dead-prefix counts, the labels its
+    extensions moved and the legs priced (entries of the ``LegCosts``
+    tables) are logged at DEBUG on ``cpdptw.solver``.
     """
     ctx = _make_ctx(inst, fleet, nets, physics)
     t0 = _time.perf_counter()

@@ -8,6 +8,8 @@ import json
 import sys
 from pathlib import Path
 
+from cpdptw import env
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -39,9 +41,19 @@ def _load_cases(monkeypatch):
 
 
 def test_coalition_sweep_reproduces_the_benchmark_reference(monkeypatch):
+    """The recorded optima, with every leg of the sweep priced in one
+    ``LegCosts``."""
     cases = _load_cases(monkeypatch)
     case = cases.build_inputs("coalition-sweep", 1)[0]
+    made = []
+    init = env.LegCosts.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(env.LegCosts, "__init__", counted)
     cases.run_case("coalition-sweep", case)
+    assert len(made) == 1
     reference = json.loads(cases.REFERENCE.read_text())
     assert cases.optima("coalition-sweep", case) == reference["coalition-sweep"][0]
 

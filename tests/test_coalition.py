@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cpdptw import coalition, instance, network, solver, toy
+from cpdptw import coalition, env, instance, network, solver, toy
 from cpdptw.coalition import (Coalition, CoalitionTable, agent_label,
                               build_table, check_convexity,
                               check_subadditivity, coalition_sweep, core_check,
@@ -234,6 +234,23 @@ def test_sweep_builds_the_networks_once(monkeypatch):
     builds.clear()
     coalition_sweep(inst, pool, cost_fn=lambda uavs, adrs: 1.0)
     assert builds == []
+
+
+def test_sweep_prices_its_legs_in_one_table(monkeypatch):
+    """Every exact joint cost of a sweep or a table shares one LegCosts."""
+    made = []
+    init = env.LegCosts.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(env.LegCosts, "__init__", counted)
+    inst, pool = _infeasible_corner()
+    sweep = coalition_sweep(inst, pool)
+    assert len(made) == 1 and not any(cell.failed for cell in sweep.cells)
+    made.clear()
+    build_table(inst, pool)
+    assert len(made) == 1
 
 
 # (n_customers, n_depots, rho, wind, generator seed): every combination of

@@ -140,19 +140,122 @@ def test_exact_solutions_validate_and_decompose():
                                                       abs=1e-9)
 
 
+# -- move generator ----------------------------------------------------------------
+
+
+def _advance_moves(ctx, k, rs, candidates):
+    """Reference move generator: the moves of one route state
+    ``(pos, clock, battery, load, carried)``, every leg priced by
+    ``env.advance``, in ``solver._moves``'s order (candidates, then the
+    direct move before the recharge stops in depot order)."""
+    veh = ctx.fleet.vehicles[k]
+    legs = ctx.legs
+    pos, clock, batt, load, carried = rs
+    n_cust = legs.n_cust
+    floor = ctx.floor[k] - 1e-12
+    alpha, w3e, w3l = ctx.alpha[k], ctx.w3e, ctx.w3l
+    stops = [] if pos >= legs.ncust2 else None
+    out = []
+    for c in candidates:
+        pickup = c < n_cust
+        if pickup:
+            if load + legs.demand[c] > veh.capacity + 1e-9:
+                continue
+            carried2 = carried | {c}
+        else:
+            carried2 = carried - {c - n_cust}
+        t, arrival, dep, e_arr, _, load2, wait, late = env.advance(
+            legs, veh, pos, clock, batt, load, c)
+        if pickup and arrival > legs.win_l[c] + 1e-9:
+            continue
+        if e_arr >= floor:
+            out.append(((None, c), (c, dep, e_arr, load2, carried2),
+                        alpha * t + (w3e * wait if pickup else w3l * late)))
+        if stops is None:
+            stops = []
+            for d in ctx.depots:
+                t_d, _, dep_d, e_d, _, _, _, _ = env.advance(
+                    legs, veh, pos, clock, batt, load, d)
+                if e_d >= floor:
+                    stops.append((d, dep_d, alpha * t_d))
+        for d, dep_d, cost_d in stops:
+            t, arrival, dep, e_arr, _, load2, wait, late = env.advance(
+                legs, veh, d, dep_d, veh.battery, load, c)
+            if (pickup and arrival > legs.win_l[c] + 1e-9) or e_arr < floor:
+                continue
+            out.append(((d, c), (c, dep, e_arr, load2, carried2),
+                        cost_d + (alpha * t + (w3e * wait if pickup
+                                               else w3l * late))))
+    return out
+
+
+def _bits(moves):
+    """Moves with every float as its repr, for bit-for-bit comparison."""
+    return [(i, move, rs[0], repr(rs[1]), repr(rs[2]), repr(rs[3]), rs[4],
+             repr(dc)) for i, move, rs, dc in moves]
+
+
+def _trie_nodes(node, prefix=()):
+    """Every live node under a label-trie node, with its prefix."""
+    yield node, prefix
+    for c, child in node.children.items():
+        if child is not solver._DEAD:
+            yield from _trie_nodes(child, prefix + (c,))
+
+
+def test_batched_moves_match_advance_per_label():
+    """On every multi-label node of a heuristic's label tries, the batched
+    generator gives the ``advance`` reference's moves, label by label, bit
+    for bit and in order, and prices exactly the legs the reference does."""
+    inst = instance.generate(n_customers=7, n_depots=2, seed=4)
+    fleet = instance.default_fleet(2, 1, inst.depot_nodes()[0])
+    # a small battery forces recharge stops and battery dead ends
+    fleet.vehicles.append(dataclasses.replace(fleet.vehicles[0], battery=3.5))
+    east = PhysicsConfig(wind=WindState(speed=12.0, course=0.0,
+                                        model="constant"))
+    nets = build_networks(inst)
+    ctx = solver._make_ctx(inst, fleet, nets, east)
+    solver._construct(ctx, "cheapest", range(inst.n_customers))
+    n = inst.n_customers
+    checked = composites = 0
+    for kind, root in ctx.roots.items():
+        for node, prefix in _trie_nodes(root):
+            labels = [(clock, batt) for _, clock, batt, _ in node.labels]
+            if len(labels) < 2:
+                continue
+            candidates = sorted([p + n for p in node.carried]
+                                + [p for p in range(n) if p not in prefix])
+            fresh = [solver._make_ctx(inst, fleet, nets, east)
+                     for _ in range(2)]
+            got = solver._moves(fresh[0], kind, node.pos, node.load,
+                                node.carried, labels, candidates)
+            want = [(i, *move)
+                    for c in candidates
+                    for i, (clock, batt) in enumerate(labels)
+                    for move in _advance_moves(
+                        fresh[1], kind, (node.pos, clock, batt, node.load,
+                                         node.carried), (c,))]
+            assert _bits(got) == _bits(want), (kind, prefix)
+            assert fresh[0].legs._time == fresh[1].legs._time
+            assert fresh[0].legs._energy == fresh[1].legs._energy
+            checked += 1
+            composites += sum(move[0] is not None for _, move, _, _ in got)
+    assert checked >= 10 and composites > 0, (checked, composites)
+
+
 # -- dominance pruning -------------------------------------------------------------
 
 
 def _unpruned_route_table(ctx, k):
     """The reference for ``solver._route_table``: the same walk through
-    ``_successors``/``_end_moves`` without dominance pruning."""
+    ``_advance_moves``/``_end_moves`` without dominance pruning."""
     n_cust = ctx.legs.n_cust
     table = {}
 
     def walk(rs, served, cost, trail):
         candidates = sorted([p + n_cust for p in rs[4]]
                             + [p for p in range(n_cust) if not served >> p & 1])
-        for move, rs2, dcost in solver._successors(ctx, k, rs, candidates):
+        for move, rs2, dcost in _advance_moves(ctx, k, rs, candidates):
             c = move[1]
             trail.append(move)
             walk(rs2, served | (1 << c) if c < n_cust else served,
@@ -377,7 +480,7 @@ def _memo_free_sweep(ctx, k, seq):
         states = solver._prune_states([
             (cost + dc, rs2, moves + [move])
             for cost, rs, moves in states
-            for move, rs2, dc in solver._successors(ctx, k, rs, (c,))])
+            for move, rs2, dc in _advance_moves(ctx, k, rs, (c,))])
         if not states:
             return math.inf, None, None
     best = None
@@ -421,8 +524,8 @@ def test_label_trie_matches_memo_free_sweep_in_any_order():
     assert [solver._seq_eval(forward, k, s) for k, s in jobs] == expected
     assert [solver._seq_cost(forward, k, s) for k, s in jobs] == \
         [plan[0] for plan in expected]
-    lookups, extensions, dead_hits = forward.trie_stats
-    assert extensions < lookups and dead_hits > 0
+    lookups, extensions, dead_hits, labels = forward.trie_stats
+    assert extensions < lookups and dead_hits > 0 and labels > extensions
 
     order = list(range(len(jobs)))
     rng.shuffle(order)
@@ -432,18 +535,50 @@ def test_label_trie_matches_memo_free_sweep_in_any_order():
     assert shuffled.trie_stats[1] == extensions   # same prefixes, any order
 
 
-def test_heuristic_logs_deterministic_trie_counts(caplog):
+def test_heuristic_logs_deterministic_trie_counts(caplog, monkeypatch):
+    """The trie line repeats exactly across solves; its extensions and
+    labels are the move generator's calls and labels, and its legs priced
+    are the distinct legs looked up."""
     inst, fleet = make_case(n=4, seed=1, n_uav=2, n_adr=1)
+    batches, legs = [], set()
+    moves, time_min, energy_kj = solver._moves, env.LegCosts.time_min, \
+        env.LegCosts.energy_kj
+
+    def counted_moves(ctx, k, pos, load, carried, labels, candidates):
+        batches.append(len(labels))
+        return moves(ctx, k, pos, load, carried, labels, candidates)
+
+    def counted_time(self, vehicle, i, j, half=False):
+        if i != j:
+            legs.add(("t", vehicle.mode, vehicle.max_speed, half, i, j))
+        return time_min(self, vehicle, i, j, half)
+
+    def counted_energy(self, vehicle, i, j, load, half=False):
+        if i != j:
+            legs.add(("e", vehicle.mode, vehicle.max_speed, half, load, i, j))
+        return energy_kj(self, vehicle, i, j, load, half)
+
+    monkeypatch.setattr(solver, "_moves", counted_moves)
+    monkeypatch.setattr(env.LegCosts, "time_min", counted_time)
+    monkeypatch.setattr(env.LegCosts, "energy_kj", counted_energy)
     lines = []
     for _ in range(2):
+        batches.clear()
+        legs.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="cpdptw.solver"):
             solve_heuristic(inst, fleet)
         lines.append([r.getMessage() for r in caplog.records
                       if r.name == "cpdptw.solver"])
-    assert len(lines[0]) == 1 and "label trie" in lines[0][0]
-    assert "prefix extensions" in lines[0][0] and "dead-prefix" in lines[0][0]
-    assert lines[0] == lines[1]
+    assert lines[0] == lines[1]         # deterministic counts only
+    (line,) = lines[0]
+    lookups, extensions, dead, labels, priced = map(int, re.fullmatch(
+        r"heuristic label trie: (\d+) lookups, (\d+) prefix extensions, "
+        r"(\d+) dead-prefix hits, (\d+) labels extended, (\d+) legs priced",
+        line).groups())
+    assert extensions == len(batches) and labels == sum(batches)
+    assert labels > extensions and dead > 0 and lookups > extensions
+    assert priced == len(legs)
 
 
 # -- validation ---------------------------------------------------------------------
