@@ -2,10 +2,10 @@
 
 Modules: ``instance`` (problem data + generator), ``network`` (dual-mode
 graphs and adjacency), ``energy`` (flight/drive power models with wind),
-``env`` (masked MDP simulator), ``solver`` (exact branch-and-bound and
-insertion heuristic), ``policy`` (inference-only attention scorer),
-``coalition`` (cooperative-game analysis), ``toy`` (hand-checkable
-example) and ``cli`` (batch entry point).
+``env`` (masked MDP simulator), ``solver`` (exact route tables plus a
+set-partition DP, and insertion heuristic), ``policy`` (inference-only
+attention scorer), ``coalition`` (cooperative-game analysis), ``toy``
+(hand-checkable example) and ``cli`` (batch entry point).
 """
 
 from .coalition import (Coalition, CoalitionTable, check_convexity,

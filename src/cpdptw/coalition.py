@@ -22,11 +22,11 @@ cell, the cooperative cost, the gain over everyone working alone, and the
 core verdict -- ready to plot as a contour matrix.  Every coalition is
 priced with its own vehicles; coalitions whose vehicles have equal fields
 share one joint cost.  Exact joint costs of small instances come from route
-tables instead of one branch and bound per coalition: vehicles start fresh
-and their routes never interact, so a coalition's optimum is a set partition
-of the pairs over its vehicles' tables (``solver._partition``), and each
-distinct vehicle's table is walked once for everything that shares the memo
--- every cell of a sweep.
+tables shared by the whole sweep instead of one ``solve_exact`` per
+coalition: vehicles start fresh and their routes never interact, so a
+coalition's optimum is a set partition of the pairs over its vehicles'
+tables (``solver._partition``), and each distinct vehicle's table is walked
+once for everything that shares the memo -- every cell of a sweep.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def _solver_cost(inst, vehicles, nets, physics, solver_choice, memo):
     the vehicles' route tables, each walked the first time its vehicle's
     fields appear in ``memo`` and kept there, as is the one ``LegCosts``
     that every walk and plan replay of the memo prices its legs with;
-    exact above the limit is the branch and bound.  Both give the proven
-    optimum.
+    exact above the limit is ``solve_exact``, the same tables and DP
+    walked afresh for each vehicle list.  Both give the proven optimum.
     """
     fleet = FleetSpec(vehicles)
     small = 2 * inst.n_customers <= EXACT_NODE_LIMIT

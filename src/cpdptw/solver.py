@@ -1,25 +1,27 @@
-"""Exact branch-and-bound and construct-and-improve solvers.
+"""Exact and construct-and-improve solvers.
 
-Both solvers walk the same route space through one shared move generator.
-So does the testing oracle, ``solve_enumerate``: it walks the closed routes
-of each distinct vehicle once into a table, then partitions the customer
-pairs over those routes by dynamic programming, which is exact because
-vehicles start fresh and their routes never interact.  The coalition sweep
-prices its small joint costs with the same tables and DP.  The generator
-(``_moves``) takes a batch of labels -- the clocks and batteries of partial
-routes at one position with one load and carried set -- and looks each leg
-up once for the whole batch: the heuristic's Pareto sweep passes every
-label of a prefix, the branch and bound and the table walk their one.
+The exact solver, ``solve_exact``, rests on one fact: every vehicle starts
+fresh and no two routes interact, so the optimum is a set partition of the
+customer pairs over the vehicles' cheapest closed routes.  It walks the
+closed routes of each distinct vehicle once into a table, then partitions
+the pairs over those tables by dynamic programming.  Node and time budgets
+bind the walks and the DP; a search cut short falls back to the heuristic's
+plan, unproven.  ``solve_enumerate`` is the same search without limits,
+and the coalition sweep prices its small joint costs with the same tables
+and DP.  The move generator (``_moves``) takes a batch of labels -- the
+clocks and batteries of partial routes at one position with one load and
+carried set -- and looks each leg up once for the whole batch: the
+heuristic's Pareto sweep passes every label of a prefix, the table walk
+its one; ``_end_moves`` closes routes the same way.
 
-Neither the branch and bound nor the table walk is literally exhaustive:
-both skip a partial route that an earlier-walked one at the same position,
-load, carried and served sets provably beats for every completion
-(``_dominated``): no later clock, no less battery, and a cost lower by more
-than the early-waiting weight times the clock gap plus the recharge time
-the battery gap could add.  The rule relies on legs whose time and energy
-do not depend on the clock, on vehicles that never idle by choice, and on
-weights ``>= 0``.  It changes no table entry, and no plan of a search that
-no budget stopped.  The heuristic keeps its own Pareto filter
+The table walk is not literally exhaustive: it skips a partial route that
+an earlier-walked one at the same position, load, carried and served sets
+provably beats for every completion (``_dominated``): no later clock, no
+less battery, and a cost lower by more than the early-waiting weight times
+the clock gap plus the recharge time the battery gap could add.  The rule
+relies on legs whose time and energy do not depend on the clock, on
+vehicles that never idle by choice, and on weights ``>= 0``.  It changes no
+table entry.  The heuristic keeps its own Pareto filter
 (``_prune_states``).  The moves are:
 
 * a *direct* move serves the next customer straight away;
@@ -221,26 +223,35 @@ def _moves(ctx, k, pos, load, carried, labels, candidates):
     return out
 
 
-def _end_moves(ctx, k, rs):
-    """Ways to close the route as (closing_depot_or_None, added_cost).
+def _end_moves(ctx, k, pos, load, carried, labels):
+    """Ways to close the route, as ``(i, closing_depot_or_None, added_cost)``
+    for a batch of labels ``labels[i] = (clock, battery)`` (see ``_moves``).
 
-    None means the vehicle already stands at a depot (fresh route).  Only
-    the last leg's cost and reachability matter here, so this prices the
-    leg directly rather than through ``advance``.
+    None means the vehicle already stands at a depot (fresh route); else
+    the empty vehicle rides back to a depot at half speed.  Moves come in
+    depot order, then label order.  Each depot's energy is looked up once
+    for the batch, and its time only when some label reaches the depot.
+    Only the last leg's cost and reachability matter here, so this prices
+    the leg directly rather than through ``advance``.
     """
-    pos, clock, batt, load, carried = rs
     if carried:
         return []
-    if pos >= ctx.legs.ncust2:
-        return [(None, 0.0)]
-    veh = ctx.fleet.vehicles[k]
     legs = ctx.legs
+    if pos >= legs.ncust2:
+        return [(i, None, 0.0) for i in range(len(labels))]
+    veh = ctx.fleet.vehicles[k]
+    floor = ctx.floor[k] - 1e-12
     out = []
     for d in ctx.depots:
-        if batt - legs.energy_kj(veh, pos, d, load, half=True) \
-                >= ctx.floor[k] - 1e-12:
-            out.append((d, ctx.alpha[k] *
-                        legs.time_min(veh, pos, d, half=True)))
+        e = legs.energy_kj(veh, pos, d, load, True)
+        cost = None
+        i = 0               # a counter, not enumerate: this runs per walk node
+        for _, batt in labels:
+            if batt - e >= floor:
+                if cost is None:
+                    cost = ctx.alpha[k] * legs.time_min(veh, pos, d, True)
+                out.append((i, d, cost))
+            i += 1
     return out
 
 
@@ -274,9 +285,11 @@ def _dominated(store, key, cost, clock, batt, w3e, rate):
     * travel is priced the same, and every weight is ``>= 0``.
 
     Only labels stored earlier prune and a pruned label is never stored,
-    so a walk keeps its order and its results, only without the subtrees
-    of pruned labels.  Only the newest ``_DOMINANCE_SCAN`` labels of a key
-    are kept and scanned.
+    so a route-table walk (``_route_table``, one store per table) keeps its
+    order and its table, only without the subtrees of pruned labels, and
+    the DP over the tables returns the plan it would without the rule.
+    Only the newest ``_DOMINANCE_SCAN`` labels of a key are kept and
+    scanned.
     """
     labels = store.get(key)
     if labels is None:
@@ -316,121 +329,6 @@ def _replay(ctx, k, moves, end_depot):
     return visits
 
 
-# ---------------------------------------------------------------------------
-# branch and bound
-
-
-class _Search:
-    def __init__(self, ctx, limits):
-        self.ctx = ctx
-        self.limits = limits
-        self.nv = len(ctx.fleet.vehicles)
-        self.best_cost = math.inf
-        self.best_plan = None
-        self.nodes = 0
-        self.labels = {}        # _dominated's store
-        self.dominated = 0      # partial routes dropped as dominated
-        self.cut = 0            # subtrees cut by the bound
-        self.stopped = False
-        self.t0 = _time.perf_counter()
-        self._prepare_bound()
-
-    def _prepare_bound(self):
-        """suffix_in[k][v]: cheapest alpha-weighted entering arc of node v
-        over vehicles k.., a lower bound on the cost of ever serving v."""
-        ctx = self.ctx
-        inst = ctx.inst
-        nn = inst.n_nodes
-        ncust = 2 * inst.n_customers
-        per_vehicle = np.full((self.nv, nn), math.inf)
-        half_ret = np.zeros((self.nv, nn))
-        for k, veh in enumerate(ctx.fleet.vehicles):
-            for v in range(ncust):
-                best = min(ctx.legs.time_min(veh, u, v)
-                           for u in range(nn) if u != v)
-                per_vehicle[k, v] = ctx.alpha[k] * best
-            for v in range(nn):
-                half_ret[k, v] = ctx.alpha[k] * min(
-                    ctx.legs.time_min(veh, v, d, half=True)
-                    for d in ctx.depots)
-        self.suffix_in = np.minimum.accumulate(per_vehicle[::-1], axis=0)[::-1]
-        self.half_ret = half_ret
-
-    def _bound(self, k, rs, unserved):
-        ctx = self.ctx
-        total = 0.0
-        row = self.suffix_in[min(k, self.nv - 1)]
-        for v in unserved:
-            total += row[v]
-        if rs is not None and rs[0] < ctx.legs.ncust2:
-            # The active vehicle's final leg back to a depot departs either
-            # from where it stands or from one of the still-unserved
-            # customers, whichever its route ends on.
-            ret = self.half_ret[k][rs[0]]
-            for v in unserved:
-                r = self.half_ret[k][v]
-                if r < ret:
-                    ret = r
-            total += ret
-        return max(total - 1e-9, 0.0)
-
-    def _tick(self):
-        self.nodes += 1
-        lim = self.limits
-        if lim.max_nodes_expanded and self.nodes > lim.max_nodes_expanded:
-            self.stopped = True
-        if lim.time_budget and (self.nodes % 256 == 0) and \
-                _time.perf_counter() - self.t0 > lim.time_budget:
-            self.stopped = True
-
-    def run(self):
-        self._vehicle(0, frozenset(), 0.0, [])
-        return self
-
-    def _vehicle(self, k, served, cost, plans):
-        if self.stopped:
-            return
-        ctx = self.ctx
-        if k == self.nv:
-            if len(served) == ctx.legs.ncust2 and cost < self.best_cost:
-                self.best_cost = cost
-                self.best_plan = [(list(mv), end) for mv, end in plans]
-            return
-        unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
-        if cost + self._bound(k, None, unserved) >= self.best_cost:
-            self.cut += 1
-            return
-        self._route(k, ctx.fresh(k), served, cost, plans, [])
-
-    def _route(self, k, rs, served, cost, plans, trail):
-        if self.stopped:
-            return
-        ctx = self.ctx
-        pos, clock, batt, load, carried = rs
-        if _dominated(self.labels, (k, pos, load, carried, served), cost,
-                      clock, batt, ctx.w3e, ctx.fleet.vehicles[k].charge_rate):
-            self.dominated += 1
-            return
-        self._tick()
-        unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
-        if cost + self._bound(k, rs, unserved) >= self.best_cost:
-            self.cut += 1
-            return
-        n_cust = ctx.legs.n_cust
-        candidates = sorted([p + n_cust for p in carried]
-                            + [p for p in range(n_cust)
-                               if p not in served and p not in carried])
-        for _, move, rs2, dcost in _moves(ctx, k, pos, load, carried,
-                                          ((clock, batt),), candidates):
-            trail.append(move)
-            self._route(k, rs2, served | {move[1]}, cost + dcost, plans, trail)
-            trail.pop()
-        for d, dcost in _end_moves(ctx, k, rs):
-            plans.append((trail, d))
-            self._vehicle(k + 1, served, cost + dcost, plans)
-            plans.pop()
-
-
 def _report(ctx, plan, nodes, t0, proven):
     """SolveReport of a ``(moves, end_depot)`` plan per vehicle (None when
     infeasible); the total is the replayed plan's episode cost."""
@@ -463,97 +361,127 @@ def _make_ctx(inst, fleet, nets, physics, legs=None):
     return _Ctx(inst, fleet, legs)
 
 
-def solve_exact(inst, fleet, nets=None, physics=None, limits=None):
-    """Depth-first branch and bound over (vehicle, next-node) decisions.
-
-    The lower bound adds, for every unserved customer node, the cheapest
-    alpha-weighted arc that could ever enter it (over the vehicles still
-    available), plus the active vehicle's cheapest depot return — admissible,
-    since every unserved node must still be entered once.  A partial plan
-    that an earlier one with the same vehicle, position, load, carried and
-    served sets provably beats is skipped before it counts as a node (see
-    ``_dominated``), so the first minimum-cost plan in search order is
-    still the one returned.  One DEBUG line on ``cpdptw.solver`` gives the
-    nodes expanded, the partial plans skipped as dominated and the subtrees
-    cut by the bound.
-    """
-    limits = (limits or SolverLimits()).validate()
-    ctx = _make_ctx(inst, fleet, nets, physics)
-    search = _Search(ctx, limits).run()
-    LOG.debug("branch and bound: %d nodes expanded, %d partial routes "
-              "dominated, %d subtrees cut by the bound", search.nodes,
-              search.dominated, search.cut)
-    return _report(ctx, search.best_plan, search.nodes, search.t0,
-                   not search.stopped)
-
-
 # ---------------------------------------------------------------------------
-# enumeration oracle: route tables and a set-partition DP
+# exact search: route tables and a set-partition DP
 
 
-def _route_table(ctx, k):
+class _Cut(Exception):
+    """The exact search ran out of budget; ``args`` are the name of the
+    limit and the walk nodes expanded over all tables."""
+
+
+class _Budget:
+    """The ``SolverLimits`` of one exact search, over all of its walks.
+
+    ``nodes`` counts the walk nodes of the tables finished so far.  A walk
+    calls ``check(n)`` once its own node count ``n`` reaches what the last
+    call returned.  ``check`` raises ``_Cut`` when the node limit is passed
+    or the time budget is spent, and else returns the walk's count at the
+    next check: the node past the limit, or the next multiple of 256 nodes
+    over all walks, where the clock is read again.
+    """
+
+    def __init__(self, limits, t0):
+        self.cap = limits.max_nodes_expanded
+        self.seconds = limits.time_budget
+        self.t0 = t0
+        self.nodes = 0
+
+    def check(self, n=0):
+        total = self.nodes + n
+        if self.cap is not None and total > self.cap:
+            raise _Cut("max_nodes_expanded", total)
+        if self.seconds is not None and \
+                _time.perf_counter() - self.t0 > self.seconds:
+            raise _Cut("time_budget", total)
+        due = math.inf if self.cap is None else self.cap + 1
+        if self.seconds is not None:
+            due = min(due, (total // 256 + 1) * 256)
+        return due - self.nodes
+
+
+def _route_table(ctx, k, budget=None):
     """Every closed route of vehicle ``k``, cheapest per served pair set.
 
-    A depth-first walk from the fresh state through the same moves as the
-    search, offering the carried deliveries and every pickup this route
-    has not served, and skipping a partial route that an earlier one
-    provably beats (see ``_dominated``; it would never enter the table).
-    Returns ``(table, nodes, dominated)``: ``table`` maps the bitmask of
-    served pairs to ``(cost, moves, end_depot)``, keeping the first
-    strictly cheaper route in walk order, ``nodes`` counts the walk's
-    nodes and ``dominated`` the partial routes it skipped.
+    A depth-first walk from the fresh state through ``_moves``, offering
+    the carried deliveries and every pickup this route has not served, and
+    skipping a partial route that an earlier one provably beats (see
+    ``_dominated``; it would never enter the table).  Returns ``(table,
+    nodes, dominated)``: ``table`` maps the bitmask of served pairs to
+    ``(cost, moves, end_depot)``, keeping the first strictly cheaper route
+    in walk order, ``nodes`` counts the walk's nodes and ``dominated`` the
+    partial routes it skipped.  A ``budget`` (``_Budget``) is checked as
+    the nodes count up, may end the walk with ``_Cut``, and adds the
+    walk's nodes to its own count; without one the walk never checks.
     """
     n_cust = ctx.legs.n_cust
     w3e, rate = ctx.w3e, ctx.fleet.vehicles[k].charge_rate
     table = {}
     labels = {}
     nodes = dominated = 0
+    due = math.inf if budget is None else budget.check()
 
     def walk(rs, served, cost, trail):
-        nonlocal nodes, dominated
+        nonlocal nodes, dominated, due
         pos, clock, batt, load, carried = rs
         if _dominated(labels, (pos, load, carried, served), cost, clock, batt,
                       w3e, rate):
             dominated += 1
             return
         nodes += 1
+        if nodes >= due:
+            due = budget.check(nodes)
+        label = ((clock, batt),)
         candidates = sorted([p + n_cust for p in carried]
                             + [p for p in range(n_cust) if not served >> p & 1])
-        for _, move, rs2, dcost in _moves(ctx, k, pos, load, carried,
-                                          ((clock, batt),), candidates):
+        for _, move, rs2, dcost in _moves(ctx, k, pos, load, carried, label,
+                                          candidates):
             c = move[1]
             trail.append(move)
             walk(rs2, served | (1 << c) if c < n_cust else served,
                  cost + dcost, trail)
             trail.pop()
-        for d, dcost in _end_moves(ctx, k, rs):
+        for _, d, dcost in _end_moves(ctx, k, pos, load, carried, label):
             total = cost + dcost
             if served not in table or total < table[served][0]:
                 table[served] = (total, list(trail), d)
 
     walk(ctx.fresh(k), 0, 0.0, [])
+    if budget is not None:
+        budget.nodes += nodes
     return table, nodes, dominated
 
 
-def _partition(ctx, tables, nodes, t0):
+def _partition(ctx, tables, nodes, t0, budget=None):
     """Cheapest set partition of the customer pairs over the route tables
     ``tables[k]`` of vehicle ``k`` (see ``_route_table``), as a report.
 
     A DP from the last vehicle to the first takes, for every pair set S, the
     cheapest split of S into a route of vehicle k and a set the later
     vehicles serve, scanning both in insertion order with strict ``<``.
-    The winning plan is replayed, so its total is computed exactly as the
-    search's is.  ``nodes`` is the report's work count.
+    Vehicle 0 needs only the full pair set, so for each of its routes it
+    reads the one set that completes it.  The winning plan is replayed, so
+    its total is the simulator's episode cost.  ``nodes`` is the report's
+    work count; a ``budget`` has its clock read every 256 routes of a
+    level (see ``_Budget``).
     """
     nv = len(tables)
+    full = (1 << ctx.legs.n_cust) - 1
     # levels[k][S] = (cost, T): vehicles k.. serve pair set S at ``cost``,
     # vehicle k taking its table's route for T
     best = {0: (0.0, 0)}
     levels = [None] * nv
     for k in reversed(range(nv)):
         level = {}
-        for t, (cost_t, _, _) in tables[k].items():
-            for r, (cost_r, _) in best.items():
+        for i, (t, (cost_t, _, _)) in enumerate(tables[k].items()):
+            if budget is not None and not i % 256:
+                budget.check()
+            if k:
+                rests = best.items()
+            else:
+                rest = best.get(full ^ t)
+                rests = () if rest is None else ((full ^ t, rest),)
+            for r, (cost_r, _) in rests:
                 if t & r:
                     continue
                 cost = cost_t + cost_r
@@ -561,7 +489,7 @@ def _partition(ctx, tables, nodes, t0):
                 if s not in level or cost < level[s][0]:
                     level[s] = (cost, t)
         levels[k] = best = level
-    s = (1 << ctx.legs.n_cust) - 1
+    s = full
     plan = None
     if s in best:
         plan = []
@@ -573,9 +501,34 @@ def _partition(ctx, tables, nodes, t0):
     return _report(ctx, plan, nodes, t0, True)
 
 
-def solve_enumerate(inst, fleet, nets=None, physics=None):
-    """Enumeration of the same route space, as a correctness oracle for
-    small cases.
+def _by_tables(inst, fleet, nets, physics, limits):
+    """Route tables plus the set-partition DP under ``limits`` (see
+    ``solve_exact``)."""
+    ctx = _make_ctx(inst, fleet, nets, physics)
+    t0 = _time.perf_counter()
+    budget = None
+    if limits.max_nodes_expanded is not None or limits.time_budget is not None:
+        budget = _Budget(limits, t0)
+    tables, nodes, dominated = {}, 0, 0
+    try:
+        for k, kind in enumerate(ctx.kind):
+            if kind not in tables:
+                tables[kind], walked, dropped = _route_table(ctx, k, budget)
+                nodes += walked
+                dominated += dropped
+        LOG.debug("exact search: %d route tables, %d walk nodes, %d partial "
+                  "routes dominated", len(tables), nodes, dominated)
+        return _partition(ctx, [tables[kind] for kind in ctx.kind], nodes,
+                          t0, budget)
+    except _Cut as cut:
+        limit, nodes = cut.args
+        LOG.info("exact search cut short by %s after %d walk nodes: the plan "
+                 "is the heuristic's, not proven optimal", limit, nodes)
+        return _report(ctx, _heuristic_plan(ctx, 0)[0], nodes, t0, False)
+
+
+def solve_exact(inst, fleet, nets=None, physics=None, limits=None):
+    """Proven optimum by route tables and a set-partition DP.
 
     Every vehicle starts fresh from its depot and no two routes interact,
     so the optimum is a set partition of the customer pairs over the
@@ -592,18 +545,21 @@ def solve_enumerate(inst, fleet, nets=None, physics=None):
     exhaustive walk's.  ``nodes_expanded`` counts the walks' nodes, not
     the skipped ones; vehicles with equal fields share one table.  One
     DEBUG line on ``cpdptw.solver`` gives the tables, nodes and skips.
+
+    ``limits`` bind the search: ``max_nodes_expanded`` counts the walk
+    nodes over all tables, and the ``time_budget`` clock is read every 256
+    walk nodes and every 256 routes of a DP level.  The DP needs complete
+    tables, so a search cut short returns the heuristic's plan (seed 0,
+    priced with the same leg costs) with ``proven_optimal=False``, and one
+    INFO line on ``cpdptw.solver`` names the limit that cut it.
     """
-    ctx = _make_ctx(inst, fleet, nets, physics)
-    t0 = _time.perf_counter()
-    tables, nodes, dominated = {}, 0, 0
-    for k in range(len(fleet.vehicles)):
-        if ctx.kind[k] not in tables:
-            tables[ctx.kind[k]], walked, dropped = _route_table(ctx, k)
-            nodes += walked
-            dominated += dropped
-    LOG.debug("enumeration: %d route tables, %d nodes expanded, %d partial "
-              "routes dominated", len(tables), nodes, dominated)
-    return _partition(ctx, [tables[kind] for kind in ctx.kind], nodes, t0)
+    return _by_tables(inst, fleet, nets, physics,
+                      (limits or SolverLimits()).validate())
+
+
+def solve_enumerate(inst, fleet, nets=None, physics=None):
+    """``solve_exact`` without limits: the same route tables and DP."""
+    return _by_tables(inst, fleet, nets, physics, SolverLimits())
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +626,20 @@ def _extend(ctx, k, node, c):
 
 def _closed(ctx, k, node):
     """``(cost, chain, end_depot)`` of the cheapest way to end the route
-    after ``node``'s prefix (cost inf when none); memoised on the node."""
+    after ``node``'s prefix (cost inf when none); memoised on the node.
+    All of the node's labels close as one batch, so each closing leg is
+    looked up once per node; ties go to the earlier clock, then the lower
+    depot."""
     if node.end is None:
+        labels = node.labels
         best = None
-        for cost, clock, batt, chain in node.labels:
-            rs = (node.pos, clock, batt, node.load, node.carried)
-            for d, dcost in _end_moves(ctx, k, rs):
-                key = (cost + dcost, clock, -1 if d is None else d)
-                if best is None or key < best[0]:
-                    best = (key, chain, d)
+        for i, d, dcost in _end_moves(
+                ctx, k, node.pos, node.load, node.carried,
+                [(clock, batt) for _, clock, batt, _ in labels]):
+            cost, clock, _, chain = labels[i]
+            key = (cost + dcost, clock, -1 if d is None else d)
+            if best is None or key < best[0]:
+                best = (key, chain, d)
         node.end = (math.inf, None, None) if best is None \
             else (best[0][0], best[1], best[2])
     return node.end
@@ -949,6 +910,14 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
     """
     ctx = _make_ctx(inst, fleet, nets, physics)
     t0 = _time.perf_counter()
+    plan, steps = _heuristic_plan(ctx, seed)
+    return _report(ctx, plan, steps, t0, False)
+
+
+def _heuristic_plan(ctx, seed):
+    """``(plan, insertions)`` of ``solve_heuristic`` on ``ctx``; the plan
+    is None when every start dead-ends."""
+    inst = ctx.inst
     by_demand = sorted(range(inst.n_customers),
                        key=lambda p: -inst.customers[p].demand)
     by_deadline = sorted(range(inst.n_customers),
@@ -974,7 +943,7 @@ def solve_heuristic(inst, fleet, nets=None, physics=None, seed=0):
         _improve(ctx, best_seqs)
         plan = [_seq_eval(ctx, k, seq)[1:] for k, seq in enumerate(best_seqs)]
     _log_trie(ctx)
-    return _report(ctx, plan, steps, t0, False)
+    return plan, steps
 
 
 # ---------------------------------------------------------------------------

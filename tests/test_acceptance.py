@@ -21,6 +21,7 @@ from cpdptw.energy import (AdrParams, PhysicsConfig, UavParams, WindState,
                            induced_velocity)
 from cpdptw.instance import Instance
 from cpdptw.network import AdjacencySpec, build_networks
+from branch_and_bound import solve_bnb
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_criterion_1_worked_example_fidelity(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 2-3. exact solver vs enumeration; heuristic quality
+# 2-3. exact solver vs an independent branch and bound; heuristic quality
 
 
 def _sweep_case(seed):
@@ -67,23 +68,23 @@ def solver_sweep():
     for seed in range(200):
         inst, fleet = _sweep_case(seed)
         exact = solver.solve_exact(inst, fleet)
-        brute = solver.solve_enumerate(inst, fleet)
-        cases.append((seed, inst, fleet, exact, brute))
+        bnb = solve_bnb(inst, fleet)
+        cases.append((seed, inst, fleet, exact, bnb))
     return cases, time.perf_counter() - start
 
 
 def test_criterion_2_exact_matches_enumeration(solver_sweep, capsys):
     cases, elapsed = solver_sweep
     feasible = 0
-    for seed, _, _, exact, brute in cases:
-        assert exact.feasible == brute.feasible, f"seed {seed}"
+    for seed, _, _, exact, bnb in cases:
+        assert exact.feasible == bnb.feasible, f"seed {seed}"
         if exact.feasible:
             feasible += 1
-            assert exact.solution.total == brute.solution.total, f"seed {seed}"
+            assert exact.solution.total == bnb.solution.total, f"seed {seed}"
             assert exact.proven_optimal, f"seed {seed}"
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
     with capsys.disabled():
-        print(f"\nPASS criterion 2: exact == enumeration on 200 instances "
+        print(f"\nPASS criterion 2: exact == branch and bound on 200 instances "
               f"({feasible} feasible), {elapsed:.1f}s < 60s")
 
 

@@ -13,8 +13,8 @@ from cpdptw.coalition import (Coalition, CoalitionTable, agent_label,
                               check_subadditivity, coalition_sweep, core_check,
                               sweep_summary, sweep_to_csv)
 from cpdptw.energy import PhysicsConfig, WindState
-from cpdptw.solver import solve_exact
 from cpdptw.instance import FleetSpec
+from branch_and_bound import solve_bnb
 
 
 # -- random tables -----------------------------------------------------------------
@@ -177,8 +177,8 @@ def _uav_pair(depot):
 
 
 def _count_walks(monkeypatch):
-    """Vehicles whose route table is walked, in order; a branch-and-bound
-    solve from the coalition module fails the test."""
+    """Vehicles whose route table is walked, in order; a ``solve_exact``
+    call from the coalition module fails the test."""
     walks = []
     walk = solver._route_table
 
@@ -282,7 +282,7 @@ def test_route_table_joint_costs_equal_branch_and_bound(monkeypatch, n, depots,
     assert len(reports) == (11 if depots == 1 else 15)
     assert any(rep.feasible for _, rep in reports)
     for fleet, rep in reports:
-        exact = solve_exact(inst, fleet, nets, physics)
+        exact = solve_bnb(inst, fleet, nets, physics)
         assert rep.feasible == exact.feasible
         if rep.feasible:
             assert rep.solution.total == exact.solution.total
@@ -297,7 +297,7 @@ def test_unequal_vehicles_are_each_priced_as_they_are():
     for vehicle, single in ((uav, Coalition.of(uavs=[0])),
                             (weak, Coalition.of(uavs=[1])),
                             (adr, Coalition.of(adrs=[0]))):
-        alone = solve_exact(inst, FleetSpec([vehicle]))
+        alone = solve_bnb(inst, FleetSpec([vehicle]))
         want = alone.solution.total if alone.feasible else math.inf
         assert tbl.cost(single) == pytest.approx(want, abs=1e-9), single.label()
     assert math.isfinite(tbl.cost(Coalition.of(uavs=[0])))
@@ -315,7 +315,7 @@ def test_build_table_solver_backend_on_single_customer():
     inst = instance.generate(n_customers=1, seed=3)
     pool = instance.default_fleet(1, 1, inst.depot_nodes()[0])
     tbl = build_table(inst, pool)
-    uav_only = solve_exact(inst, FleetSpec([pool.vehicles[0]]))
+    uav_only = solve_bnb(inst, FleetSpec([pool.vehicles[0]]))
     assert uav_only.feasible
     assert tbl.cost(Coalition.of(uavs=[0])) == \
         pytest.approx(uav_only.solution.total, abs=1e-9)

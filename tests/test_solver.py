@@ -1,4 +1,5 @@
-"""Branch-and-bound, enumeration oracle, insertion heuristic, validation."""
+"""Exact solver (route tables plus DP) against the branch and bound,
+insertion heuristic, validation."""
 
 import dataclasses
 import logging
@@ -15,6 +16,7 @@ from cpdptw.instance import Customer, Depot, FleetSpec, Instance, Vehicle
 from cpdptw.network import AdjacencySpec, build_networks
 from cpdptw.solver import (SolverLimits, gap, solve_enumerate, solve_exact,
                            solve_heuristic, validate)
+from branch_and_bound import solve_bnb
 from conftest import make_case
 
 
@@ -27,46 +29,47 @@ def _recipe_case(seed):
     return inst, fleet
 
 
-# -- exact vs enumeration --------------------------------------------------------
+# -- exact vs branch and bound ---------------------------------------------------
 
 
 def test_exact_equals_enumeration_on_seed_slice():
-    """Pruned search and the route-table oracle return the same optimum,
-    bitwise, and the same plan, route by route."""
+    """The route-table DP and the branch and bound (``branch_and_bound``)
+    return the same optimum, bitwise, and the same plan, route by route."""
     for seed in range(40):
         inst, fleet = _recipe_case(seed)
         ex = solve_exact(inst, fleet)
-        en = solve_enumerate(inst, fleet)
-        assert ex.feasible == en.feasible, seed
+        bnb = solve_bnb(inst, fleet)
+        assert ex.feasible == bnb.feasible, seed
         if ex.feasible:
-            assert ex.solution.total == en.solution.total, seed
-            assert ex.proven_optimal and en.proven_optimal
-            assert [r.visits for r in en.solution.routes] == \
+            assert ex.solution.total == bnb.solution.total, seed
+            assert ex.proven_optimal
+            assert [r.visits for r in bnb.solution.routes] == \
                 [r.visits for r in ex.solution.routes], seed
         # equal vehicles share one route table: with 1 or 2 equal UAVs
-        # (plus the ADR) the oracle walks the same nodes
+        # (plus the ADR) the walks expand the same nodes
         other = instance.default_fleet(4 - len(fleet.vehicles), 1,
                                        inst.depot_nodes()[0])
-        assert solve_enumerate(inst, other).nodes_expanded == \
-            en.nodes_expanded, seed
+        assert solve_exact(inst, other).nodes_expanded == \
+            ex.nodes_expanded, seed
 
 
 def _exact_equals_enumeration(n):
-    """Both exact solvers on seeds 0-7 at ``n`` pairs: the same optimum,
-    bitwise, and the same plan; returns the number of feasible seeds."""
+    """The route-table DP and the branch and bound on seeds 0-7 at ``n``
+    pairs: the same optimum, bitwise, and the same plan; returns the number
+    of feasible seeds."""
     feasible = 0
     for seed in range(8):
         inst = instance.generate(n_customers=n, n_depots=1 + seed % 2,
                                  seed=seed)
         fleet = instance.default_fleet(1 + seed % 2, 1, inst.depot_nodes()[0])
         ex = solve_exact(inst, fleet)
-        en = solve_enumerate(inst, fleet)
-        assert ex.proven_optimal and en.proven_optimal, seed
-        assert ex.feasible == en.feasible, seed
+        bnb = solve_bnb(inst, fleet)
+        assert ex.proven_optimal, seed
+        assert ex.feasible == bnb.feasible, seed
         if ex.feasible:
             feasible += 1
-            assert ex.solution.total == en.solution.total, seed
-            assert [r.visits for r in en.solution.routes] == \
+            assert ex.solution.total == bnb.solution.total, seed
+            assert [r.visits for r in bnb.solution.routes] == \
                 [r.visits for r in ex.solution.routes], seed
     return feasible
 
@@ -189,6 +192,24 @@ def _advance_moves(ctx, k, rs, candidates):
     return out
 
 
+def _advance_end_moves(ctx, k, rs):
+    """Reference for ``solver._end_moves``: the ways to close one route
+    state as ``(depot_or_None, added_cost)``, the ride home priced by
+    ``env.advance``, in depot order."""
+    pos, clock, batt, load, carried = rs
+    if carried:
+        return []
+    if pos >= ctx.legs.ncust2:
+        return [(None, 0.0)]
+    out = []
+    for d in ctx.depots:
+        t_d, _, _, e_d, _, _, _, _ = env.advance(
+            ctx.legs, ctx.fleet.vehicles[k], pos, clock, batt, load, d)
+        if e_d >= ctx.floor[k] - 1e-12:
+            out.append((d, ctx.alpha[k] * t_d))
+    return out
+
+
 def _bits(moves):
     """Moves with every float as its repr, for bit-for-bit comparison."""
     return [(i, move, rs[0], repr(rs[1]), repr(rs[2]), repr(rs[3]), rs[4],
@@ -206,7 +227,9 @@ def _trie_nodes(node, prefix=()):
 def test_batched_moves_match_advance_per_label():
     """On every multi-label node of a heuristic's label tries, the batched
     generator gives the ``advance`` reference's moves, label by label, bit
-    for bit and in order, and prices exactly the legs the reference does."""
+    for bit and in order, and prices exactly the legs the reference does;
+    the batched end moves give the reference's closings, depot by depot
+    and label by label."""
     inst = instance.generate(n_customers=7, n_depots=2, seed=4)
     fleet = instance.default_fleet(2, 1, inst.depot_nodes()[0])
     # a small battery forces recharge stops and battery dead ends
@@ -217,7 +240,7 @@ def test_batched_moves_match_advance_per_label():
     ctx = solver._make_ctx(inst, fleet, nets, east)
     solver._construct(ctx, "cheapest", range(inst.n_customers))
     n = inst.n_customers
-    checked = composites = 0
+    checked = composites = closed = 0
     for kind, root in ctx.roots.items():
         for node, prefix in _trie_nodes(root):
             labels = [(clock, batt) for _, clock, batt, _ in node.labels]
@@ -238,9 +261,20 @@ def test_batched_moves_match_advance_per_label():
             assert _bits(got) == _bits(want), (kind, prefix)
             assert fresh[0].legs._time == fresh[1].legs._time
             assert fresh[0].legs._energy == fresh[1].legs._energy
+            ends = solver._end_moves(fresh[0], kind, node.pos, node.load,
+                                     node.carried, labels)
+            want = [(i, d, repr(dc)) for i, (clock, batt) in enumerate(labels)
+                    for d, dc in _advance_end_moves(
+                        fresh[1], kind, (node.pos, clock, batt, node.load,
+                                         node.carried))]
+            assert [(i, d, repr(dc)) for i, d, dc in ends] == \
+                [end for d in ctx.depots for end in want if end[1] == d], \
+                (kind, prefix)
             checked += 1
+            closed += bool(ends)
             composites += sum(move[0] is not None for _, move, _, _ in got)
-    assert checked >= 10 and composites > 0, (checked, composites)
+    assert checked >= 10 and composites > 0 and closed > 0, \
+        (checked, composites, closed)
 
 
 # -- dominance pruning -------------------------------------------------------------
@@ -248,7 +282,7 @@ def test_batched_moves_match_advance_per_label():
 
 def _unpruned_route_table(ctx, k):
     """The reference for ``solver._route_table``: the same walk through
-    ``_advance_moves``/``_end_moves`` without dominance pruning."""
+    ``_advance_moves``/``_advance_end_moves`` without dominance pruning."""
     n_cust = ctx.legs.n_cust
     table = {}
 
@@ -261,7 +295,7 @@ def _unpruned_route_table(ctx, k):
             walk(rs2, served | (1 << c) if c < n_cust else served,
                  cost + dcost, trail)
             trail.pop()
-        for d, dcost in solver._end_moves(ctx, k, rs):
+        for d, dcost in _advance_end_moves(ctx, k, rs):
             total = cost + dcost
             if served not in table or total < table[served][0]:
                 table[served] = (total, list(trail), d)
@@ -313,9 +347,9 @@ def _stress_case(seed, n, depots, profile, early, late, rate, battery, n_uav,
 
 
 def test_dominance_keeps_every_table_entry_and_plan():
-    """Route tables equal the unpruned walk's entry for entry, and both
-    exact solvers return the plan the unpruned tables give, visit for
-    visit, on a seeded grid of N = 1-4."""
+    """Route tables equal the unpruned walk's entry for entry, and the
+    exact solver and the branch and bound return the plan the unpruned
+    tables give, visit for visit, on a seeded grid of N = 1-4."""
     feasible = dominated = 0
     for spec in _stress_grid(150):
         seed = spec[0]
@@ -334,13 +368,64 @@ def test_dominance_keeps_every_table_entry_and_plan():
         want = solver._partition(ctx, [tables[kind] for kind in ctx.kind],
                                  0, 0.0)
         for report in (solve_exact(inst, fleet, nets, physics),
-                       solve_enumerate(inst, fleet, nets, physics)):
+                       solve_bnb(inst, fleet, nets, physics)):
             assert report.feasible == want.feasible, seed
             if want.feasible:
                 assert [r.visits for r in report.solution.routes] == \
                     [r.visits for r in want.solution.routes], seed
         feasible += want.feasible
     assert feasible >= 75 and dominated > 0
+
+
+def _full_level_partition(tables, n_cust):
+    """Reference for ``solver._partition``'s plan: the same DP with vehicle
+    0's level, too, over every pair set.  Returns the plan as ``(moves,
+    end_depot)`` per vehicle, or None."""
+    best = {0: (0.0, 0)}
+    levels = [None] * len(tables)
+    for k in reversed(range(len(tables))):
+        level = {}
+        for t, (cost_t, _, _) in tables[k].items():
+            for r, (cost_r, _) in best.items():
+                if t & r:
+                    continue
+                cost = cost_t + cost_r
+                if t | r not in level or cost < level[t | r][0]:
+                    level[t | r] = (cost, t)
+        levels[k] = best = level
+    s = (1 << n_cust) - 1
+    if s not in best:
+        return None
+    plan = []
+    for k, table in enumerate(tables):
+        t = levels[k][s][1]
+        plan.append(table[t][1:])
+        s ^= t
+    return plan
+
+
+def test_partition_reads_only_the_full_set_at_vehicle_zero():
+    """The DP that prices only the full pair set at vehicle 0 returns the
+    full-level DP's plan, visit for visit and bit for bit in total."""
+    feasible = 0
+    for spec in _stress_grid(150):
+        inst, fleet, nets, physics = _stress_case(*spec)
+        ctx = solver._make_ctx(inst, fleet, nets, physics)
+        tables = {}
+        for k, kind in enumerate(ctx.kind):
+            if kind not in tables:
+                tables[kind] = solver._route_table(ctx, k)[0]
+        tables = [tables[kind] for kind in ctx.kind]
+        got = solver._partition(ctx, tables, 0, 0.0)
+        want = solver._report(ctx, _full_level_partition(
+            tables, inst.n_customers), 0, 0.0, True)
+        assert got.feasible == want.feasible, spec
+        if want.feasible:
+            assert [r.visits for r in got.solution.routes] == \
+                [r.visits for r in want.solution.routes], spec
+            assert repr(got.solution.total) == repr(want.solution.total)
+        feasible += want.feasible
+    assert feasible >= 75
 
 
 def test_exact_solvers_log_their_effort(caplog):
@@ -354,18 +439,15 @@ def test_exact_solvers_log_their_effort(caplog):
         lines.append([r.getMessage() for r in caplog.records
                       if r.name == "cpdptw.solver"])
     assert lines[0] == lines[1]         # deterministic counts only
-    bnb, enum = lines[0]
-    dominated, cut = map(int, re.fullmatch(
-        rf"branch and bound: {ex.nodes_expanded} nodes expanded, (\d+) "
-        r"partial routes dominated, (\d+) subtrees cut by the bound",
-        bnb).groups())
-    assert dominated > 0 and cut > 0
     ctx = solver._make_ctx(inst, fleet, None, None)
     walks = [solver._route_table(ctx, k) for k in sorted(set(ctx.kind))]
-    assert en.nodes_expanded == sum(walk[1] for walk in walks)
-    assert enum == (f"enumeration: 2 route tables, {en.nodes_expanded} nodes "
-                    f"expanded, {sum(walk[2] for walk in walks)} partial "
-                    f"routes dominated")
+    nodes = sum(walk[1] for walk in walks)
+    dominated = sum(walk[2] for walk in walks)
+    assert dominated > 0
+    assert ex.nodes_expanded == en.nodes_expanded == nodes
+    line = (f"exact search: 2 route tables, {nodes} walk nodes, "
+            f"{dominated} partial routes dominated")
+    assert lines[0] == [line, line]
 
 
 # -- limits ------------------------------------------------------------------------
@@ -378,14 +460,86 @@ def test_limits_validation():
         SolverLimits(time_budget=-1.0).validate()
 
 
-def test_node_budget_drops_optimality_proof():
+def _cut_short(caplog, inst, fleet, limits):
+    """``solve_exact`` under ``limits``, with its INFO lines."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="cpdptw.solver"):
+        report = solve_exact(inst, fleet, limits=limits)
+    return report, [r.getMessage() for r in caplog.records
+                    if r.name == "cpdptw.solver" and r.levelno == logging.INFO]
+
+
+def _is_heuristic_plan(report, inst, fleet):
+    heur = solve_heuristic(inst, fleet)
+    assert report.feasible and not report.proven_optimal
+    assert validate(report.solution, inst, fleet) == []
+    assert [r.visits for r in report.solution.routes] == \
+        [r.visits for r in heur.solution.routes]
+    return True
+
+
+def test_node_budget_drops_optimality_proof(caplog):
+    """A walk cut short has no table to partition: the plan is the
+    heuristic's, unproven, and one INFO line says which limit cut it."""
     inst, fleet = _recipe_case(3)
-    capped = solve_exact(inst, fleet, limits=SolverLimits(max_nodes_expanded=1))
-    assert not capped.proven_optimal
+    capped, info = _cut_short(caplog, inst, fleet,
+                              SolverLimits(max_nodes_expanded=1))
+    assert _is_heuristic_plan(capped, inst, fleet)
     assert capped.nodes_expanded <= 2   # the node that trips the budget counts
+    assert info == [f"exact search cut short by max_nodes_expanded after "
+                    f"{capped.nodes_expanded} walk nodes: the plan is the "
+                    f"heuristic's, not proven optimal"]
     full = solve_exact(inst, fleet)
     assert full.proven_optimal
     assert full.wall_time >= 0.0
+
+
+def test_time_budget_reads_the_clock_every_256_walk_nodes(caplog,
+                                                          monkeypatch):
+    """Under a clock that gains a second per reading, a 2.5 s budget holds
+    at the walk's start and at node 256, and is spent at node 512."""
+    inst, fleet = make_case(n=5, seed=0)      # its first walk has 2779 nodes
+    ticks = iter(range(1, 1000))
+    monkeypatch.setattr(solver, "_time", type("Clock", (), {
+        "perf_counter": staticmethod(lambda: float(next(ticks)))}))
+    cut, info = _cut_short(caplog, inst, fleet, SolverLimits(time_budget=2.5))
+    assert _is_heuristic_plan(cut, inst, fleet)
+    assert cut.nodes_expanded == 512
+    assert info == ["exact search cut short by time_budget after 512 walk "
+                    "nodes: the plan is the heuristic's, not proven optimal"]
+
+
+def test_time_budget_binds_the_dp(caplog, monkeypatch):
+    """The clock jumps past the budget once the walks are done: the DP reads
+    it and falls back to the heuristic with every walk node counted."""
+    inst, fleet = _recipe_case(3)
+    full = solve_exact(inst, fleet)
+    now = [0.0]
+    partition = solver._partition
+
+    def late(*args):
+        now[0] = 10.0
+        return partition(*args)
+    monkeypatch.setattr(solver, "_partition", late)
+    monkeypatch.setattr(solver, "_time", type("Clock", (), {
+        "perf_counter": staticmethod(lambda: now[0])}))
+    cut, info = _cut_short(caplog, inst, fleet, SolverLimits(time_budget=5.0))
+    assert _is_heuristic_plan(cut, inst, fleet)
+    assert cut.nodes_expanded == full.nodes_expanded
+    assert info == [f"exact search cut short by time_budget after "
+                    f"{full.nodes_expanded} walk nodes: the plan is the "
+                    f"heuristic's, not proven optimal"]
+
+
+def test_budgets_above_the_walk_keep_the_proof(caplog):
+    inst, fleet = _recipe_case(3)
+    full = solve_exact(inst, fleet)
+    roomy, info = _cut_short(caplog, inst, fleet, SolverLimits(
+        max_nodes_expanded=full.nodes_expanded, time_budget=60.0))
+    assert roomy.proven_optimal and info == []
+    assert roomy.nodes_expanded == full.nodes_expanded
+    assert [r.visits for r in roomy.solution.routes] == \
+        [r.visits for r in full.solution.routes]
 
 
 # -- heuristic ----------------------------------------------------------------------
@@ -485,7 +639,7 @@ def _memo_free_sweep(ctx, k, seq):
             return math.inf, None, None
     best = None
     for cost, rs, moves in states:
-        for d, dcost in solver._end_moves(ctx, k, rs):
+        for d, dcost in _advance_end_moves(ctx, k, rs):
             key = (cost + dcost, rs[1], -1 if d is None else d)
             if best is None or key < best[0]:
                 best = (key, moves, d)
