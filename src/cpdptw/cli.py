@@ -335,7 +335,7 @@ def cmd_solve(args):
             inst, fleet, nets=nets, physics=physics, seed=seed)
     best = None
     for tag, rep in sorted(reports.items()):
-        if not rep.feasible or rep.solution is None:
+        if not rep.feasible:
             print(f"{tag}: infeasible (nodes expanded {rep.nodes_expanded})")
             continue
         _print_breakdown(tag, rep.solution)
@@ -349,7 +349,7 @@ def cmd_solve(args):
             best = rep.solution.total
     if best is not None:
         for tag, rep in sorted(reports.items()):
-            if rep.feasible and rep.solution is not None and best > 0:
+            if rep.feasible and best > 0:
                 rel = solver_mod.gap([rep.solution.total], best)
                 print(f"{tag} gap vs best-known: {100.0 * rel:.2f}%")
     return 0

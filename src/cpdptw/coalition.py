@@ -21,12 +21,11 @@ coalition could do strictly better on its own).
 cell, the cooperative cost, the gain over everyone working alone, and the
 core verdict -- ready to plot as a contour matrix.  Every coalition is
 priced with its own vehicles; coalitions whose vehicles have equal fields
-share one joint cost.  Exact joint costs of small instances come from route
-tables shared by the whole sweep instead of one ``solve_exact`` per
-coalition: vehicles start fresh and their routes never interact, so a
-coalition's optimum is a set partition of the pairs over its vehicles'
-tables (``solver._partition``), and each distinct vehicle's table is walked
-once for everything that shares the memo -- every cell of a sweep.
+share one joint cost.  Exact joint costs run ``solve_exact``'s search over
+route tables shared by the whole sweep: vehicles start fresh and their
+routes never interact, so a coalition's optimum is a set partition of the
+pairs over its vehicles' tables, and each distinct vehicle's table is
+walked once for everything that shares the memo -- every cell of a sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import logging
 import math
 import time as _time
 from collections import Counter
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -44,16 +43,17 @@ import numpy as np
 from . import solver
 from .instance import FleetSpec
 from .network import build_networks
-from .solver import EXACT_NODE_LIMIT, solve_exact, solve_heuristic
+# solve_exact and solve_heuristic stay bound for perfbench/tracing.py to wrap
+from .solver import EXACT_NODE_LIMIT, SolverLimits, solve_exact, solve_heuristic
 
 LOG = logging.getLogger(__name__)
 
-# build_table's memo also holds, under keys no joint cost uses, the route
-# table and walk nodes of each vehicle (``(_TABLE, fields)``), the leg
-# tables those walks and the plan replays share (``_LEGS``) and the counts
+# build_table's memo also holds, under keys no joint cost uses, the one
+# LegCosts of every joint cost (``_LEGS``), the route tables of the exact
+# ones (``_TABLES``, the store of ``solver._by_tables``) and the counts
 # the sweep logs (``_COUNTS``)
-_TABLE = "route table"
 _LEGS = "leg costs"
+_TABLES = "route tables"
 _COUNTS = "counts"
 
 
@@ -144,42 +144,32 @@ def _solver_cost(inst, vehicles, nets, physics, solver_choice, memo):
     """Joint routing cost of an explicit vehicle list (inf when infeasible).
 
     No ``solver_choice`` means exact when 2N <= ``EXACT_NODE_LIMIT``, else
-    the heuristic.  Exact within that limit is the set-partition DP over
-    the vehicles' route tables, each walked the first time its vehicle's
-    fields appear in ``memo`` and kept there, as is the one ``LegCosts``
-    that every walk and plan replay of the memo prices its legs with;
-    exact above the limit is ``solve_exact``, the same tables and DP
-    walked afresh for each vehicle list.  Both give the proven optimum.
+    the heuristic.  Exact is ``solve_exact``'s search without limits over
+    the route tables kept in ``memo``, each walked the first time its
+    vehicle appears; the heuristic is ``solve_heuristic``'s plan (seed 0).
+    Both price their legs with the one ``LegCosts`` kept in ``memo``.
     """
-    fleet = FleetSpec(vehicles)
-    small = 2 * inst.n_customers <= EXACT_NODE_LIMIT
-    choice = solver_choice
-    if choice is None:
-        choice = "exact" if small else "heuristic"
-    counts = memo.setdefault(_COUNTS, Counter())
-    if choice == "exact" and small:
-        ctx = solver._make_ctx(inst, fleet, nets, physics, memo.get(_LEGS))
-        memo[_LEGS] = ctx.legs
-        t0 = _time.perf_counter()
-        tables, walked = [], 0
-        for k, vehicle in enumerate(vehicles):
-            key = (_TABLE, astuple(vehicle))
-            if key not in memo:
-                memo[key] = solver._route_table(ctx, k)
-                walked += memo[key][1]
-                counts["tables"] += 1
-                counts["dominated"] += memo[key][2]
-            tables.append(memo[key][0])
-        counts["walk_nodes"] += walked
-        counts["dp"] += 1
-        report = solver._partition(ctx, tables, walked, t0)
+    exact = solver_choice == "exact" or (
+        solver_choice is None and 2 * inst.n_customers <= EXACT_NODE_LIMIT)
+    ctx = solver._make_ctx(inst, FleetSpec(vehicles), nets, physics,
+                           memo.get(_LEGS))
+    memo[_LEGS] = ctx.legs
+    if exact:
+        memo[_COUNTS]["dp"] += 1
+        report = solver._by_tables(ctx, SolverLimits(),
+                                   memo.setdefault(_TABLES, {}))
     else:
-        run = solve_exact if choice == "exact" else solve_heuristic
-        counts["solver"] += 1
-        report = run(inst, fleet, nets=nets, physics=physics)
-    if not report.feasible or report.solution is None:
-        return math.inf
-    return report.solution.total
+        memo[_COUNTS]["solver"] += 1
+        t0 = _time.perf_counter()
+        plan = solver._heuristic_plan(ctx, 0)[0]
+        report = solver._report(ctx, plan, 0, t0, False)
+    return report.solution.total if report.feasible else math.inf
+
+
+def _check_choice(solver_choice):
+    if solver_choice not in (None, "exact", "heuristic"):
+        raise ValueError("solver_choice: expected exact|heuristic or None, "
+                         f"got {solver_choice!r}")
 
 
 def _split_pool(fleet_pool):
@@ -207,12 +197,14 @@ def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
     bipartition are already in the table.  The joint cost of a coalition
     comes from ``cost_fn(uav_ids, adr_ids)`` when given (frozensets; +inf
     for coalitions it does not define), else from the solver on the
-    coalition's vehicles (see ``_solver_cost``).  ``cache`` memoises joint
-    costs on what they depend on: the ids for ``cost_fn``, the vehicles'
-    fields for the solver.  It also keeps the exact pricing's route table
-    of every distinct vehicle.  Tables over the same inputs may share it.
-    Without ``nets`` the solver's networks are built once, here.
+    coalition's vehicles (see ``_solver_cost``; ``solver_choice`` is None,
+    "exact" or "heuristic").  ``cache`` memoises joint costs on what they
+    depend on: the ids for ``cost_fn``, the vehicles for the solver.  It
+    also keeps the exact pricing's route tables and the leg costs.  Tables
+    over the same inputs may share it.  Without ``nets`` the solver's
+    networks are built once, here.
     """
+    _check_choice(solver_choice)
     if nets is None and cost_fn is None:
         nets = build_networks(inst)
     uav_pool, adr_pool = _split_pool(fleet_pool)
@@ -228,7 +220,7 @@ def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
         else:
             vehicles = [uav_pool[i] for i in sorted(coalition.uavs)] \
                 + [adr_pool[j] for j in sorted(coalition.adrs)]
-            key = tuple(astuple(v) for v in vehicles)
+            key = tuple(vehicles)
         if key in memo:
             counts["memo"] += 1
         elif cost_fn is not None:
@@ -458,6 +450,7 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
     one build of the networks; the memo's counts go to one DEBUG line on
     the ``cpdptw.coalition`` logger.
     """
+    _check_choice(solver_choice)
     uav_pool, adr_pool = _split_pool(fleet_pool)
     m, n = len(uav_pool), len(adr_pool)
     if m < 1 or n < 1:
@@ -491,10 +484,11 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
                 cell.error = str(exc)
             cells.append(cell)
     counts = cache.setdefault(_COUNTS, Counter())
+    walks = cache.get(_TABLES, {}).values()
     LOG.debug("coalition sweep %dx%d: %d route tables walked (%d nodes, "
               "%d partial routes dominated); joint costs: %d by DP, %d by a "
-              "solver, %d by cost_fn, %d from the memo", m, n,
-              counts["tables"], counts["walk_nodes"], counts["dominated"],
+              "solver, %d by cost_fn, %d from the memo", m, n, len(walks),
+              sum(w[1] for w in walks), sum(w[2] for w in walks),
               counts["dp"], counts["solver"], counts["cost_fn"], counts["memo"])
     return SweepResult(m=m, n=n, cells=cells)
 

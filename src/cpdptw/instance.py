@@ -83,7 +83,7 @@ class Depot:
     recharge: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vehicle:
     mode: str                  # "UAV" | "ADR"
     max_speed: float           # m/s

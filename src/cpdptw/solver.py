@@ -7,12 +7,12 @@ closed routes of each distinct vehicle once into a table, then partitions
 the pairs over those tables by dynamic programming.  Node and time budgets
 bind the walks and the DP; a search cut short falls back to the heuristic's
 plan, unproven.  ``solve_enumerate`` is the same search without limits,
-and the coalition sweep prices its small joint costs with the same tables
-and DP.  The move generator (``_moves``) takes a batch of labels -- the
-clocks and batteries of partial routes at one position with one load and
-carried set -- and looks each leg up once for the whole batch: the
-heuristic's Pareto sweep passes every label of a prefix, the table walk
-its one; ``_end_moves`` closes routes the same way.
+and the coalition sweep prices its exact joint costs with it over one
+store of route tables.  The move generator (``_moves``) takes a batch of
+labels -- the clocks and batteries of partial routes at one position with
+one load and carried set -- and looks each leg up once for the whole
+batch: the heuristic's Pareto sweep passes every label of a prefix, the
+table walk its one; ``_end_moves`` closes routes the same way.
 
 The table walk is not literally exhaustive: it skips a partial route that
 an earlier-walked one at the same position, load, carried and served sets
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import random
 import time as _time
 from dataclasses import dataclass
@@ -74,10 +75,14 @@ class SolverLimits:
     time_budget: float | None = None       # seconds
 
     def validate(self):
-        if self.max_nodes_expanded is not None and self.max_nodes_expanded <= 0:
-            raise ValueError("max_nodes_expanded: must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time_budget: must be positive")
+        for name, kind, what in (
+                ("max_nodes_expanded", numbers.Integral, "integer"),
+                ("time_budget", numbers.Real, "number of seconds")):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not
+                                      isinstance(value, kind) or not value > 0):
+                raise ValueError(
+                    f"{name}: must be a positive {what}, got {value!r}")
         return self
 
 
@@ -87,7 +92,10 @@ class SolveReport:
     proven_optimal: bool
     nodes_expanded: int
     wall_time: float
-    feasible: bool = True
+
+    @property
+    def feasible(self):
+        return self.solution is not None
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +341,14 @@ def _report(ctx, plan, nodes, t0, proven):
     """SolveReport of a ``(moves, end_depot)`` plan per vehicle (None when
     infeasible); the total is the replayed plan's episode cost."""
     wall = _time.perf_counter() - t0
-    if plan is None:
-        return SolveReport(solution=None, proven_optimal=proven,
-                           nodes_expanded=nodes, wall_time=wall,
-                           feasible=False)
-    routes = [Route(vehicle=ctx.fleet.vehicles[k],
-                    visits=_replay(ctx, k, mv, end))
-              for k, (mv, end) in enumerate(plan)]
-    sol = Solution(routes=routes, breakdown={}, total=0.0, complete=True)
-    sol.breakdown = episode_cost(sol, ctx.inst)
-    sol.total = sol.breakdown["total"]
+    sol = None
+    if plan is not None:
+        routes = [Route(vehicle=ctx.fleet.vehicles[k],
+                        visits=_replay(ctx, k, mv, end))
+                  for k, (mv, end) in enumerate(plan)]
+        sol = Solution(routes=routes, breakdown={}, total=0.0, complete=True)
+        sol.breakdown = episode_cost(sol, ctx.inst)
+        sol.total = sol.breakdown["total"]
     return SolveReport(solution=sol, proven_optimal=proven,
                        nodes_expanded=nodes, wall_time=wall)
 
@@ -501,25 +507,24 @@ def _partition(ctx, tables, nodes, t0, budget=None):
     return _report(ctx, plan, nodes, t0, True)
 
 
-def _by_tables(inst, fleet, nets, physics, limits):
+def _by_tables(ctx, limits, store):
     """Route tables plus the set-partition DP under ``limits`` (see
-    ``solve_exact``)."""
-    ctx = _make_ctx(inst, fleet, nets, physics)
+    ``solve_exact``).  ``store`` maps a vehicle to its ``_route_table``
+    walk on ``ctx``'s legs; only the vehicles missing from it are walked
+    (and added), and the report and DEBUG line count those walks."""
     t0 = _time.perf_counter()
-    budget = None
-    if limits.max_nodes_expanded is not None or limits.time_budget is not None:
-        budget = _Budget(limits, t0)
-    tables, nodes, dominated = {}, 0, 0
+    budget = None if limits == SolverLimits() else _Budget(limits, t0)
+    walks = []
     try:
-        for k, kind in enumerate(ctx.kind):
-            if kind not in tables:
-                tables[kind], walked, dropped = _route_table(ctx, k, budget)
-                nodes += walked
-                dominated += dropped
+        for k, vehicle in enumerate(ctx.fleet.vehicles):
+            if vehicle not in store:
+                store[vehicle] = _route_table(ctx, k, budget)
+                walks.append(store[vehicle])
+        nodes = sum(w[1] for w in walks)
         LOG.debug("exact search: %d route tables, %d walk nodes, %d partial "
-                  "routes dominated", len(tables), nodes, dominated)
-        return _partition(ctx, [tables[kind] for kind in ctx.kind], nodes,
-                          t0, budget)
+                  "routes dominated", len(walks), nodes, sum(w[2] for w in walks))
+        return _partition(ctx, [store[v][0] for v in ctx.fleet.vehicles],
+                          nodes, t0, budget)
     except _Cut as cut:
         limit, nodes = cut.args
         LOG.info("exact search cut short by %s after %d walk nodes: the plan "
@@ -553,13 +558,13 @@ def solve_exact(inst, fleet, nets=None, physics=None, limits=None):
     priced with the same leg costs) with ``proven_optimal=False``, and one
     INFO line on ``cpdptw.solver`` names the limit that cut it.
     """
-    return _by_tables(inst, fleet, nets, physics,
-                      (limits or SolverLimits()).validate())
+    limits = (limits or SolverLimits()).validate()
+    return _by_tables(_make_ctx(inst, fleet, nets, physics), limits, {})
 
 
 def solve_enumerate(inst, fleet, nets=None, physics=None):
     """``solve_exact`` without limits: the same route tables and DP."""
-    return _by_tables(inst, fleet, nets, physics, SolverLimits())
+    return _by_tables(_make_ctx(inst, fleet, nets, physics), SolverLimits(), {})
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,22 @@ def test_solve_keeps_limits_when_the_exact_search_runs(tmp_path, capsys):
     assert "exact: total" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_nodes", [True, 2.5])
+def test_solve_rejects_a_node_limit_that_is_no_integer(tmp_path, capsys,
+                                                       max_nodes):
+    scn = _write_scenario(tmp_path, seed=3,
+                          generate={"n_customers": 2, "n_depots": 1},
+                          fleet={"n_uav": 1, "n_adr": 1},
+                          solver={"choice": "exact", "max_nodes": max_nodes})
+    rc = cli.main(["solve", "--scenario", str(scn),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    msg = _last_json_error(capsys)["message"]
+    assert "max_nodes_expanded: must be a positive integer" in msg
+    assert repr(max_nodes) in msg
+    assert not (tmp_path / "o" / "solution_exact.csv").exists()
+
+
 def test_coalition_rejects_solver_limits(tmp_path, capsys):
     scn = _write_scenario(tmp_path, seed=1,
                           generate={"n_customers": 1, "n_depots": 1},

@@ -177,19 +177,21 @@ def _uav_pair(depot):
 
 
 def _count_walks(monkeypatch):
-    """Vehicles whose route table is walked, in order; a ``solve_exact``
-    call from the coalition module fails the test."""
+    """Vehicles whose route table is walked, in order; a call to
+    ``solve_exact`` or ``solve_heuristic`` from the coalition module fails
+    the test."""
     walks = []
     walk = solver._route_table
 
-    def counted(ctx, k):
+    def counted(ctx, k, budget):
         walks.append(ctx.fleet.vehicles[k])
-        return walk(ctx, k)
+        return walk(ctx, k, budget)
 
     def no_search(*args, **kwargs):
-        raise AssertionError("coalition.solve_exact ran")
+        raise AssertionError("the coalition module called a solver")
     monkeypatch.setattr(solver, "_route_table", counted)
     monkeypatch.setattr(coalition, "solve_exact", no_search)
+    monkeypatch.setattr(coalition, "solve_heuristic", no_search)
     return walks
 
 
@@ -202,18 +204,33 @@ def test_equal_vehicles_share_one_route_table(monkeypatch, equal, walks):
     assert len(walked) == walks
 
 
-def _infeasible_corner():
-    """N=4 and a 2x2 default fleet; cells with one ADR serve no full plan."""
-    inst = instance.generate(4, n_depots=2, seed=2)
+def _sweep_case(n, seed):
+    """N pairs on two depots and a 2x2 default fleet."""
+    inst = instance.generate(n, n_depots=2, seed=seed)
     return inst, instance.default_fleet(2, 2, inst.depot_nodes()[0])
 
 
-def test_sweep_walks_each_distinct_vehicle_once(monkeypatch):
-    inst, pool = _infeasible_corner()
+def _infeasible_corner():
+    """N=4 and a 2x2 default fleet; cells with one ADR serve no full plan."""
+    return _sweep_case(4, 2)
+
+
+# (solver_choice, N, generator seed, modes walked): the default prices N = 4
+# exactly; the heuristic walks no table
+_SWEEP_CHOICES = [(None, 4, 2, ["UAV", "ADR"]),
+                  ("exact", 6, 0, ["UAV", "ADR"]),
+                  ("heuristic", 6, 0, [])]
+
+
+@pytest.mark.parametrize("choice, n, seed, modes", _SWEEP_CHOICES,
+                         ids=["default", "exact", "heuristic"])
+def test_sweep_walks_each_distinct_vehicle_once(monkeypatch, choice, n, seed,
+                                                modes):
+    inst, pool = _sweep_case(n, seed)
     walked = _count_walks(monkeypatch)
-    sweep = coalition_sweep(inst, pool)
+    sweep = coalition_sweep(inst, pool, solver_choice=choice)
     assert not any(cell.failed for cell in sweep.cells)
-    assert [v.mode for v in walked] == ["UAV", "ADR"]
+    assert [v.mode for v in walked] == modes
 
 
 def test_sweep_builds_the_networks_once(monkeypatch):
@@ -236,8 +253,11 @@ def test_sweep_builds_the_networks_once(monkeypatch):
     assert builds == []
 
 
-def test_sweep_prices_its_legs_in_one_table(monkeypatch):
-    """Every exact joint cost of a sweep or a table shares one LegCosts."""
+@pytest.mark.parametrize("choice, n, seed, modes", _SWEEP_CHOICES,
+                         ids=["default", "exact", "heuristic"])
+def test_sweep_prices_its_legs_in_one_table(monkeypatch, choice, n, seed,
+                                            modes):
+    """Every joint cost of a sweep or a table shares one LegCosts."""
     made = []
     init = env.LegCosts.__init__
 
@@ -245,12 +265,44 @@ def test_sweep_prices_its_legs_in_one_table(monkeypatch):
         made.append(self)
         init(self, *args, **kwargs)
     monkeypatch.setattr(env.LegCosts, "__init__", counted)
-    inst, pool = _infeasible_corner()
-    sweep = coalition_sweep(inst, pool)
+    inst, pool = _sweep_case(n, seed)
+    sweep = coalition_sweep(inst, pool, solver_choice=choice)
     assert len(made) == 1 and not any(cell.failed for cell in sweep.cells)
     made.clear()
-    build_table(inst, pool)
+    build_table(inst, pool, solver_choice=choice)
     assert len(made) == 1
+
+
+def test_exact_sweep_equals_solve_exact_per_coalition():
+    """Above the exact limit the sweep's shared tables price every
+    coalition bit for bit as ``solve_exact`` on its own vehicles does."""
+    inst, pool = _sweep_case(6, 0)
+    assert 2 * inst.n_customers > solver.EXACT_NODE_LIMIT
+    nets = network.build_networks(inst)
+    uavs, adrs = pool.vehicles[:2], pool.vehicles[2:]
+
+    def alone(uav_ids, adr_ids):
+        fleet = FleetSpec([uavs[i] for i in sorted(uav_ids)]
+                          + [adrs[j] for j in sorted(adr_ids)])
+        rep = solver.solve_exact(inst, fleet, nets=nets)
+        return rep.solution.total if rep.feasible else math.inf
+
+    got = coalition_sweep(inst, pool, solver_choice="exact", nets=nets)
+    want = coalition_sweep(inst, pool, nets=nets, cost_fn=alone)
+    assert any(math.isfinite(cell.cost) for cell in want.cells)
+    for g, w in zip(got.cells, want.cells):
+        assert (g.d, g.r, g.failed) == (w.d, w.r, False)
+        assert g.table.costs == w.table.costs, (g.d, g.r)
+        # repr: an infeasible cell's gain is nan on both sides
+        assert repr((g.cost, g.gain, g.core_nonempty)) == \
+            repr((w.cost, w.gain, w.core_nonempty))
+
+
+@pytest.mark.parametrize("run", [build_table, coalition_sweep])
+def test_unknown_solver_choice_is_rejected(run):
+    inst, pool = _infeasible_corner()
+    with pytest.raises(ValueError, match=r"exact\|heuristic.*'exakt'"):
+        run(inst, pool, solver_choice="exakt")
 
 
 # (n_customers, n_depots, rho, wind, generator seed): every combination of
@@ -274,8 +326,8 @@ def test_route_table_joint_costs_equal_branch_and_bound(monkeypatch, n, depots,
     reports = []
     partition = solver._partition
 
-    def kept(ctx, tables, nodes, t0):
-        reports.append((ctx.fleet, partition(ctx, tables, nodes, t0)))
+    def kept(ctx, tables, nodes, t0, budget):
+        reports.append((ctx.fleet, partition(ctx, tables, nodes, t0, budget)))
         return reports[-1][1]
     monkeypatch.setattr(solver, "_partition", kept)
     build_table(inst, [uav, weak, adr, far_adr], nets=nets, physics=physics)

@@ -1,5 +1,6 @@
 """Instance model: generation, persistence, helpers, validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,15 @@ def test_vehicle_validation_names_the_field():
         Vehicle("UAV", 10.0, 5.0, 6.5, 0.65, 1.0, 2).validate(0)
     with pytest.raises(ValueError, match="charge_rate"):
         Vehicle("UAV", 10.0, 5.0, 6.5, -1.0, 0.3, 2).validate(0)
+
+
+def test_equal_vehicles_are_one_frozen_key():
+    uav = Vehicle("UAV", 10.0, 5.0, 6.5, 0.65, 0.3, 2)
+    twin = Vehicle("UAV", 10.0, 5.0, 6.5, 0.65, 0.3, 2)
+    assert uav == twin and {uav: 1}[twin] == 1
+    with pytest.raises(AttributeError):
+        uav.battery = 1.0
+    assert dataclasses.replace(uav, battery=1.0) != uav
 
 
 def test_fleet_validation():

@@ -129,6 +129,8 @@ def test_exact_reports_infeasible_when_demand_exceeds_capacity():
     assert not report.feasible and report.solution is None
     heur = solve_heuristic(inst, fleet)
     assert not heur.feasible
+    with pytest.raises(AttributeError):   # read from the solution only
+        heur.feasible = True
 
 
 def test_exact_solutions_validate_and_decompose():
@@ -458,6 +460,27 @@ def test_limits_validation():
         SolverLimits(max_nodes_expanded=0).validate()
     with pytest.raises(ValueError, match="time_budget"):
         SolverLimits(time_budget=-1.0).validate()
+
+
+@pytest.mark.parametrize("limits, name", [
+    (dict(max_nodes_expanded=True), "max_nodes_expanded"),
+    (dict(max_nodes_expanded=2.5), "max_nodes_expanded"),
+    (dict(max_nodes_expanded="100"), "max_nodes_expanded"),
+    (dict(time_budget=True), "time_budget"),
+    (dict(time_budget="5"), "time_budget"),
+    (dict(time_budget=math.nan), "time_budget"),
+], ids=["nodes-bool", "nodes-float", "nodes-str", "time-bool", "time-str",
+        "time-nan"])
+def test_limits_reject_wrong_types(limits, name):
+    with pytest.raises(ValueError, match=name):
+        SolverLimits(**limits).validate()
+
+
+def test_limits_accept_numpy_numbers():
+    limits = SolverLimits(max_nodes_expanded=np.int64(5),
+                          time_budget=np.float64(0.5))
+    assert limits.validate() is limits
+    assert SolverLimits(max_nodes_expanded=5, time_budget=2).validate()
 
 
 def _cut_short(caplog, inst, fleet, limits):
