@@ -153,7 +153,9 @@ def load_scenario(path):
 
 def _resolve(args):
     scn = load_scenario(args.scenario) if args.scenario else {}
-    seed = args.seed if args.seed is not None else int(scn.get("seed", 0))
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        seed = int(scn.get("seed", 0))
     out = args.out or scn.get("out")
     out_dir = Path(out) if out else None
     return scn, seed, out_dir
@@ -240,7 +242,7 @@ def _prepare(args, *, need_networks=True):
     inst, fleet_preset = _build_instance(scn, seed)
     _apply_cost_weights(scn, inst)
     fleet = _build_fleet(scn, inst, fleet_preset)
-    physics = _build_physics(scn, getattr(args, "wind", None), seed)
+    physics = _build_physics(scn, args.wind, seed)
     nets = _build_networks(scn, inst) if need_networks else None
     return scn, seed, out_dir, inst, fleet, physics, nets
 
@@ -288,9 +290,9 @@ def cmd_gen(args):
     scn, seed, out_dir = _resolve(args)
     _setup_logging(out_dir)
     LOG.info("generate: seed=%d", seed)
-    inst, fleet = _build_instance(dict(scn, instance=None), seed)
-    spec = scn.get("fleet")
-    if fleet is None and isinstance(spec, dict):
+    inst, fleet = _build_instance(scn, seed)
+    _apply_cost_weights(scn, inst)
+    if fleet is None and isinstance(scn.get("fleet"), dict):
         fleet = _build_fleet(scn, inst, None)
     out = _ensure_out(out_dir)
     path = out / "instance.yaml"
@@ -414,45 +416,47 @@ def cmd_toy(args):
 # argument parsing
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", metavar="FILE",
-                        help="scenario YAML driving the run")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed (default 0 bare)")
-    common.add_argument("--solver", choices=["exact", "heuristic", "both"],
-                        default=None, help="which solver(s) to run")
-    common.add_argument("--strategy",
-                        choices=["paired", "uav-prior", "adr-prior"],
-                        default=None, help="decoding strategy for rollouts")
-    common.add_argument("--wind",
-                        choices=["none", "eastward", "westward", "turbulent"],
-                        default=None, help="wind preset (12 m/s for the "
-                                           "directional and turbulent ones)")
-    common.add_argument("--out", metavar="DIR", default=None,
-                        help="output directory for artifacts and run.log")
+_FLAGS = {
+    "--scenario": dict(metavar="FILE", help="scenario YAML driving the run"),
+    "--seed": dict(type=int, help="override the scenario seed (default 0 bare)"),
+    "--solver": dict(choices=["exact", "heuristic", "both"],
+                     help="which solver(s) to run"),
+    "--strategy": dict(choices=["paired", "uav-prior", "adr-prior"],
+                       help="decoding strategy for rollouts"),
+    "--wind": dict(choices=list(WIND_PRESETS),
+                   help="wind preset (12 m/s for the directional and "
+                        "turbulent ones)"),
+    "--scorer": dict(metavar="GREEDY|WEIGHTS.npz",
+                     help="'greedy' or a path to an attention weight file"),
+    "--m": dict(type=int, help="max number of UAVs in the sweep"),
+    "--n": dict(type=int, help="max number of ADRs in the sweep"),
+    "--out": dict(metavar="DIR",
+                  help="output directory for artifacts and run.log"),
+}
+# each subcommand parses only the flags it reads
+_RUN = ("--scenario", "--seed", "--out")
+_COMMANDS = {
+    "gen": ("generate an instance file", _RUN),
+    "solve": ("run the exact and/or heuristic solver",
+              _RUN + ("--solver", "--wind")),
+    "rollout": ("simulate one episode under a scorer",
+                _RUN + ("--strategy", "--wind", "--scorer")),
+    "coalition": ("fleet-size sweep with core checks",
+                  _RUN + ("--solver", "--wind", "--m", "--n")),
+    "toy": ("replay the three-customer example", ("--scenario", "--out")),
+}
 
+
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="cpdptw",
         description="electric pickup-and-delivery with drones and sidewalk "
                     "robots: instances, solvers, simulator, coalitions")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen", parents=[common],
-                   help="generate an instance file")
-    sub.add_parser("solve", parents=[common],
-                   help="run the exact and/or heuristic solver")
-    roll = sub.add_parser("rollout", parents=[common],
-                          help="simulate one episode under a scorer")
-    roll.add_argument("--scorer", metavar="GREEDY|WEIGHTS.npz", default=None,
-                      help="'greedy' or a path to an attention weight file")
-    coal = sub.add_parser("coalition", parents=[common],
-                          help="fleet-size sweep with core checks")
-    coal.add_argument("--m", type=int, default=None,
-                      help="max number of UAVs in the sweep")
-    coal.add_argument("--n", type=int, default=None,
-                      help="max number of ADRs in the sweep")
-    sub.add_parser("toy", parents=[common],
-                   help="replay the three-customer example")
+    for name, (what, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=what)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

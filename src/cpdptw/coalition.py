@@ -19,13 +19,13 @@ coalition could do strictly better on its own).
 
 ``coalition_sweep`` evaluates a whole m-by-n fleet grid and reports, per
 cell, the cooperative cost, the gain over everyone working alone, and the
-core verdict -- ready to plot as a contour matrix.  Every coalition is
-priced with its own vehicles; coalitions whose vehicles have equal fields
-share one joint cost.  Exact joint costs run ``solve_exact``'s search over
-route tables shared by the whole sweep: vehicles start fresh and their
-routes never interact, so a coalition's optimum is a set partition of the
-pairs over its vehicles' tables, and each distinct vehicle's table is
-walked once for everything that shares the memo -- every cell of a sweep.
+core verdict -- ready to plot as a contour matrix.  A coalition's cost
+depends only on its vehicles, so each cell is a subgame (Shapley 1971):
+the pool's table restricted to the cell's coalitions.  Coalitions whose
+vehicles have equal fields share one joint cost.  Exact joint costs run
+``solve_exact``'s search over route tables walked once per distinct
+vehicle: vehicles start fresh and their routes never interact, so a
+coalition's optimum is a set partition of the pairs over those tables.
 """
 
 from __future__ import annotations
@@ -42,19 +42,10 @@ import numpy as np
 
 from . import solver
 from .instance import FleetSpec
-from .network import build_networks
 # solve_exact and solve_heuristic stay bound for perfbench/tracing.py to wrap
 from .solver import EXACT_NODE_LIMIT, SolverLimits, solve_exact, solve_heuristic
 
 LOG = logging.getLogger(__name__)
-
-# build_table's memo also holds, under keys no joint cost uses, the one
-# LegCosts of every joint cost (``_LEGS``), the route tables of the exact
-# ones (``_TABLES``, the store of ``solver._by_tables``) and the counts
-# the sweep logs (``_COUNTS``)
-_LEGS = "leg costs"
-_TABLES = "route tables"
-_COUNTS = "counts"
 
 
 @dataclass(frozen=True)
@@ -126,6 +117,15 @@ class CoalitionTable:
     def subsets(self):
         return _subsets(self.agents())
 
+    def restrict(self, d, r):
+        """The subgame of UAV ids < d and ADR ids < r: this table's entries
+        over those ids, in this table's order (which is ``subsets()``'s)."""
+        sub = CoalitionTable(uav_ids=self.uav_ids[:d], adr_ids=self.adr_ids[:r])
+        grand = sub.grand()
+        sub.costs = {s: c for s, c in self.costs.items()
+                     if s.uavs <= grand.uavs and s.adrs <= grand.adrs}
+        return sub
+
     def cost(self, coalition):
         if coalition.size == 0:
             return 0.0
@@ -140,29 +140,17 @@ class CoalitionTable:
 # characteristic function
 
 
-def _solver_cost(inst, vehicles, nets, physics, solver_choice, memo):
-    """Joint routing cost of an explicit vehicle list (inf when infeasible).
-
-    No ``solver_choice`` means exact when 2N <= ``EXACT_NODE_LIMIT``, else
-    the heuristic.  Exact is ``solve_exact``'s search without limits over
-    the route tables kept in ``memo``, each walked the first time its
-    vehicle appears; the heuristic is ``solve_heuristic``'s plan (seed 0).
-    Both price their legs with the one ``LegCosts`` kept in ``memo``.
-    """
-    exact = solver_choice == "exact" or (
-        solver_choice is None and 2 * inst.n_customers <= EXACT_NODE_LIMIT)
-    ctx = solver._make_ctx(inst, FleetSpec(vehicles), nets, physics,
-                           memo.get(_LEGS))
-    memo[_LEGS] = ctx.legs
-    if exact:
-        memo[_COUNTS]["dp"] += 1
-        report = solver._by_tables(ctx, SolverLimits(),
-                                   memo.setdefault(_TABLES, {}))
+def _solver_cost(ctx, tables):
+    """Joint routing cost of ``ctx``'s fleet (inf when infeasible): exact,
+    by ``solve_exact``'s search without limits over the route tables kept
+    in ``tables`` (the store of ``solver._by_tables``), or with ``tables``
+    None by ``solve_heuristic``'s plan (seed 0)."""
+    if tables is not None:
+        report = solver._by_tables(ctx, SolverLimits(), tables)
     else:
-        memo[_COUNTS]["solver"] += 1
         t0 = _time.perf_counter()
-        plan = solver._heuristic_plan(ctx, 0)[0]
-        report = solver._report(ctx, plan, 0, t0, False)
+        report = solver._report(ctx, solver._heuristic_plan(ctx, 0)[0], 0, t0,
+                                False)
     return report.solution.total if report.feasible else math.inf
 
 
@@ -189,7 +177,7 @@ def _bipartitions(coalition):
 
 
 def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
-                cache=None, cost_fn=None):
+                cost_fn=None):
     """Characteristic table over every subset of the pool's vehicles.
 
     UAV id i is the i-th UAV of ``fleet_pool``, ADR id j its j-th ADR.
@@ -197,44 +185,51 @@ def build_table(inst, fleet_pool, nets=None, physics=None, solver_choice=None,
     bipartition are already in the table.  The joint cost of a coalition
     comes from ``cost_fn(uav_ids, adr_ids)`` when given (frozensets; +inf
     for coalitions it does not define), else from the solver on the
-    coalition's vehicles (see ``_solver_cost``; ``solver_choice`` is None,
-    "exact" or "heuristic").  ``cache`` memoises joint costs on what they
-    depend on: the ids for ``cost_fn``, the vehicles for the solver.  It
-    also keeps the exact pricing's route tables and the leg costs.  Tables
-    over the same inputs may share it.  Without ``nets`` the solver's
-    networks are built once, here.
+    coalition's vehicles: exact when ``solver_choice`` is "exact", or None
+    and 2N <= ``EXACT_NODE_LIMIT``, else the heuristic (``_solver_cost``).
+    Equal vehicle lists share one joint cost, exact ones one route table
+    per distinct vehicle, and all of them the ``LegCosts`` (and, without
+    ``nets``, the networks) the first one builds.  One DEBUG line on
+    ``cpdptw.coalition`` counts the tables walked and the joint costs.
     """
     _check_choice(solver_choice)
-    if nets is None and cost_fn is None:
-        nets = build_networks(inst)
+    exact = solver_choice == "exact" or (
+        solver_choice is None and 2 * inst.n_customers <= EXACT_NODE_LIMIT)
     uav_pool, adr_pool = _split_pool(fleet_pool)
     tbl = CoalitionTable(uav_ids=tuple(range(len(uav_pool))),
                          adr_ids=tuple(range(len(adr_pool))))
-    memo = cache if cache is not None else {}
-    counts = memo.setdefault(_COUNTS, Counter())
+    joint, legs, tables = {}, None, {} if exact else None
+    counts = Counter()
     for coalition in tbl.subsets():
         if coalition.size == 0:
             continue
         if cost_fn is not None:
-            key = (coalition.uavs, coalition.adrs)
-        else:
-            vehicles = [uav_pool[i] for i in sorted(coalition.uavs)] \
-                + [adr_pool[j] for j in sorted(coalition.adrs)]
-            key = tuple(vehicles)
-        if key in memo:
-            counts["memo"] += 1
-        elif cost_fn is not None:
-            memo[key] = cost_fn(*key)
+            best = cost_fn(coalition.uavs, coalition.adrs)
             counts["cost_fn"] += 1
         else:
-            memo[key] = _solver_cost(inst, vehicles, nets, physics,
-                                     solver_choice, memo)
-        best = memo[key]
+            key = tuple(uav_pool[i] for i in sorted(coalition.uavs)) \
+                + tuple(adr_pool[j] for j in sorted(coalition.adrs))
+            if key in joint:
+                counts["memo"] += 1
+            else:
+                ctx = solver._make_ctx(inst, FleetSpec(list(key)), nets,
+                                       physics, legs)
+                legs = ctx.legs
+                joint[key] = _solver_cost(ctx, tables)
+                counts["dp" if exact else "solver"] += 1
+            best = joint[key]
         for side1, side2 in _bipartitions(coalition):
             part = tbl.costs[side1] + tbl.costs[side2]
             if part < best:
                 best = part
         tbl.costs[coalition] = best
+    walks = tables.values() if tables else ()
+    LOG.debug("coalition table %dx%d: %d route tables walked (%d nodes, "
+              "%d partial routes dominated); joint costs: %d by DP, %d by a "
+              "solver, %d by cost_fn, %d from the memo", len(uav_pool),
+              len(adr_pool), len(walks), sum(w[1] for w in walks),
+              sum(w[2] for w in walks), counts["dp"], counts["solver"],
+              counts["cost_fn"], counts["memo"])
     return tbl
 
 
@@ -444,11 +439,11 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
 
     Per cell: the grand-coalition cost of the (d, r) sub-fleet, the gain of
     cooperating over everyone working alone (sum of singleton costs minus
-    the grand cost), and the core verdict of that cell's table.  Solver
-    failures mark the cell failed without aborting the sweep.  The cells
-    share one memo of joint costs and route tables, and without ``nets``
-    one build of the networks; the memo's counts go to one DEBUG line on
-    the ``cpdptw.coalition`` logger.
+    the grand cost), and the core verdict of that cell's table.  That table
+    is the pool's ``build_table`` restricted to the cell (``restrict``),
+    bit for bit the table of the sub-fleet alone.  Failures mark cells
+    failed without aborting the sweep; an error while the pool is priced
+    fails every cell with that message.
     """
     _check_choice(solver_choice)
     uav_pool, adr_pool = _split_pool(fleet_pool)
@@ -456,40 +451,34 @@ def coalition_sweep(inst, fleet_pool, solver_choice=None, nets=None,
     if m < 1 or n < 1:
         raise ValueError(f"sweep needs at least one vehicle of each mode, "
                          f"got {m} UAVs and {n} ADRs")
-    if nets is None and cost_fn is None:
-        nets = build_networks(inst)
-    cache = {}
+    grid = [(d, r) for d in range(1, m + 1) for r in range(1, n + 1)]
+    try:
+        pool_tbl = build_table(inst, uav_pool + adr_pool, nets=nets,
+                               physics=physics, solver_choice=solver_choice,
+                               cost_fn=cost_fn)
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        return SweepResult(m=m, n=n, cells=[
+            SweepCell(d=d, r=r, failed=True, error=str(exc)) for d, r in grid])
     cells = []
-    for d in range(1, m + 1):
-        for r in range(1, n + 1):
-            cell = SweepCell(d=d, r=r)
-            try:
-                pool = uav_pool[:d] + adr_pool[:r]
-                tbl = build_table(inst, pool, nets=nets, physics=physics,
-                                  solver_choice=solver_choice, cache=cache,
-                                  cost_fn=cost_fn)
-                check_subadditivity(tbl)
-                check_convexity(tbl)
-                grand_cost = tbl.cost(tbl.grand())
-                singles = sum(tbl.cost(Coalition.of(uavs=[i])) for i in range(d)) \
-                    + sum(tbl.cost(Coalition.of(adrs=[j])) for j in range(r))
-                cell.cost = grand_cost
-                cell.gain = singles - grand_cost
-                if all(math.isfinite(tbl.cost(s))
-                       for s in tbl.subsets() if s.size > 0):
-                    cell.core_nonempty = core_check(tbl)["nonempty"]
-                cell.table = tbl
-            except (RuntimeError, ValueError, ArithmeticError) as exc:
-                cell.failed = True
-                cell.error = str(exc)
-            cells.append(cell)
-    counts = cache.setdefault(_COUNTS, Counter())
-    walks = cache.get(_TABLES, {}).values()
-    LOG.debug("coalition sweep %dx%d: %d route tables walked (%d nodes, "
-              "%d partial routes dominated); joint costs: %d by DP, %d by a "
-              "solver, %d by cost_fn, %d from the memo", m, n, len(walks),
-              sum(w[1] for w in walks), sum(w[2] for w in walks),
-              counts["dp"], counts["solver"], counts["cost_fn"], counts["memo"])
+    for d, r in grid:
+        cell = SweepCell(d=d, r=r)
+        try:
+            tbl = pool_tbl.restrict(d, r)
+            check_subadditivity(tbl)
+            check_convexity(tbl)
+            grand_cost = tbl.cost(tbl.grand())
+            singles = sum(tbl.cost(Coalition.of(uavs=[i])) for i in range(d)) \
+                + sum(tbl.cost(Coalition.of(adrs=[j])) for j in range(r))
+            cell.cost = grand_cost
+            cell.gain = singles - grand_cost
+            if all(math.isfinite(tbl.cost(s))
+                   for s in tbl.subsets() if s.size > 0):
+                cell.core_nonempty = core_check(tbl)["nonempty"]
+            cell.table = tbl
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
+            cell.failed = True
+            cell.error = str(exc)
+        cells.append(cell)
     return SweepResult(m=m, n=n, cells=cells)
 
 

@@ -119,10 +119,13 @@ class _Ctx:
         self.w3l = w.alpha3_late
         self.depots = inst.depot_nodes()
         self.floor = [v.battery_floor * v.battery for v in fleet.vehicles]
-        # the heuristic's label tries: identical vehicles price every
-        # sequence identically, so they share one root
-        self.kind = [fleet.vehicles.index(v) for v in fleet.vehicles]
-        self.roots = {}
+        # the heuristic's label trie roots, one fresh label at the home
+        # depot: vehicles with equal fields price every sequence
+        # identically, so they share one root
+        roots = {v: _Prefix(v.start_depot, 0.0, frozenset(),
+                            [(0.0, 0.0, v.battery, None)])
+                 for v in fleet.vehicles}
+        self.roots = [roots[v] for v in fleet.vehicles]
         # lookups, extensions, dead hits, labels extended
         self.trie_stats = [0, 0, 0, 0]
 
@@ -650,17 +653,6 @@ def _closed(ctx, k, node):
     return node.end
 
 
-def _root(ctx, k):
-    """Trie root of vehicle ``k``: one fresh label at its home depot."""
-    kind = ctx.kind[k]
-    node = ctx.roots.get(kind)
-    if node is None:
-        veh = ctx.fleet.vehicles[k]
-        node = ctx.roots[kind] = _Prefix(veh.start_depot, 0.0, frozenset(),
-                                         [(0.0, 0.0, veh.battery, None)])
-    return node
-
-
 def _walk(ctx, k, node, seq):
     """The node reached from ``node`` along ``seq``, pricing each prefix
     no earlier walk has reached; ``_DEAD`` as soon as one is infeasible."""
@@ -694,7 +686,7 @@ def _seq_eval(ctx, k, seq):
     once, not once per label.  Returns (cost, moves, end_depot) of the
     cheapest full realization or (inf, None, None).
     """
-    cost, chain, end = _closed(ctx, k, _walk(ctx, k, _root(ctx, k), seq))
+    cost, chain, end = _closed(ctx, k, _walk(ctx, k, ctx.roots[k], seq))
     if math.isinf(cost):
         return math.inf, None, None
     moves = []
@@ -706,7 +698,7 @@ def _seq_eval(ctx, k, seq):
 
 
 def _seq_cost(ctx, k, seq):
-    return _closed(ctx, k, _walk(ctx, k, _root(ctx, k), seq))[0]
+    return _closed(ctx, k, _walk(ctx, k, ctx.roots[k], seq))[0]
 
 
 def _insertions(ctx, k, seq, pickup, delivery):
@@ -717,7 +709,7 @@ def _insertions(ctx, k, seq, pickup, delivery):
     dead prefix ends the delivery slots that would extend it.
     """
     n = len(seq)
-    head = _root(ctx, k)                  # after seq[:i]
+    head = ctx.roots[k]                   # after seq[:i]
     for i in range(n + 1):
         mid = _walk(ctx, k, head, (pickup,))     # after seq[:i] + pickup
         for j in range(i, n + 1):              # mid: ... + seq[i:j]
@@ -992,14 +984,16 @@ def validate(sol, inst, fleet, nets=None, physics=None):
             prev, v = vs[idx - 1], vs[idx]
             node = v.node
             kind = inst.node_kind(node)
-            half = kind == "depot"
-            t_leg = legs.time_min(veh, prev.node, node, half=half)
-            e_leg = legs.energy_kj(veh, prev.node, node, load, half=half)
-            if abs(v.arrival - (prev.departure + t_leg)) > tol:
-                out.append(f"vehicle {k} visit {idx}: arrival {v.arrival:.6f} "
-                           f"!= departure+travel {prev.departure + t_leg:.6f}")
-            if abs(v.battery_arrival - (prev.battery_after - e_leg)) > tol:
-                out.append(f"vehicle {k} visit {idx}: battery inconsistent with leg energy")
+            replayed = advance(legs, veh, prev.node, prev.departure,
+                               prev.battery_after, load, node)[1:5]
+            for what, got, want in zip(
+                    ("arrival", "departure", "battery on arrival",
+                     "battery after"),
+                    (v.arrival, v.departure, v.battery_arrival,
+                     v.battery_after), replayed):
+                if abs(got - want) > tol:
+                    out.append(f"vehicle {k} visit {idx}: {what} {got:.6f} "
+                               f"!= replayed {want:.6f}")
             if v.battery_arrival < -tol:
                 out.append(f"vehicle {k} visit {idx}: battery negative "
                            f"({v.battery_arrival:.6f} kJ) at node {node}")

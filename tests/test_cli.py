@@ -100,6 +100,49 @@ def test_gen_rerun_is_byte_identical(tmp_path):
         == (tmp_path / "b" / "instance.yaml").read_bytes()
 
 
+def test_gen_honours_inline_instance_and_weights(tmp_path):
+    scn = _write_scenario(tmp_path, seed=5, instance={"n_customers": 3},
+                          weights={"alpha1": 2.0})
+    assert cli.main(["gen", "--scenario", str(scn),
+                     "--out", str(tmp_path / "o")]) == 0
+    got = instance.load(tmp_path / "o" / "instance.yaml")
+    assert got.n_customers == 3
+    assert got.cost_weights.alpha1 == 2.0
+
+
+# ---------------------------------------------------------------------------
+# flags
+
+
+# the flags each subcommand reads; every other flag is a usage error
+_COMMAND_FLAGS = {
+    "gen": {"--scenario", "--seed", "--out"},
+    "toy": {"--scenario", "--out"},
+    "solve": {"--scenario", "--seed", "--out", "--solver", "--wind"},
+    "rollout": {"--scenario", "--seed", "--out", "--strategy", "--wind",
+                "--scorer"},
+    "coalition": {"--scenario", "--seed", "--out", "--solver", "--wind",
+                  "--m", "--n"},
+}
+_FLAG_VALUES = {"--scenario": "s.yaml", "--seed": "1", "--out": "o",
+                "--solver": "exact", "--strategy": "paired", "--wind": "none",
+                "--scorer": "greedy", "--m": "1", "--n": "1"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in _COMMAND_FLAGS for flag in _FLAG_VALUES])
+def test_each_command_parses_only_its_flags(capsys, command, flag):
+    argv = [command, flag, _FLAG_VALUES[flag]]
+    if flag in _COMMAND_FLAGS[command]:
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, flag[2:]) is not None
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -235,11 +235,12 @@ def test_sweep_walks_each_distinct_vehicle_once(monkeypatch, choice, n, seed,
 
 def test_sweep_builds_the_networks_once(monkeypatch):
     builds = []
-    for module in (coalition, solver):
-        def counted(inst, *args, _build=module.build_networks, **kwargs):
-            builds.append(inst)
-            return _build(inst, *args, **kwargs)
-        monkeypatch.setattr(module, "build_networks", counted)
+    build = solver.build_networks
+
+    def counted(inst, *args, **kwargs):
+        builds.append(inst)
+        return build(inst, *args, **kwargs)
+    monkeypatch.setattr(solver, "build_networks", counted)
     inst, pool = _infeasible_corner()
     for choice in (None, "heuristic"):
         builds.clear()
@@ -296,6 +297,57 @@ def test_exact_sweep_equals_solve_exact_per_coalition():
         # repr: an infeasible cell's gain is nan on both sides
         assert repr((g.cost, g.gain, g.core_nonempty)) == \
             repr((w.cost, w.gain, w.core_nonempty))
+
+
+def test_sweep_builds_one_table(monkeypatch):
+    calls = []
+    build = coalition.build_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(coalition, "build_table", counted)
+    inst, pool = _infeasible_corner()
+    coalition_sweep(inst, pool)
+    assert len(calls) == 1
+
+
+def _toy_case():
+    inst, pool = toy.build_toy_instance()
+    return inst, pool, {"cost_fn": toy.toy_cost_fn(inst)}
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (*_sweep_case(4, 2), {}),
+    lambda: (*_sweep_case(6, 0), {"solver_choice": "exact"}),
+    lambda: (*_sweep_case(6, 0), {"solver_choice": "heuristic"}),
+    _toy_case], ids=["default", "exact", "heuristic", "toy"])
+def test_sweep_cells_equal_tables_of_their_sub_fleets(case):
+    """Each cell's table is the pool table restricted to the cell: the same
+    keys in the same order and the same costs, bit for bit, as a table
+    built on the cell's sub-fleet alone."""
+    inst, pool, kwargs = case()
+    nets = network.build_networks(inst)
+    uavs, adrs = coalition._split_pool(pool)
+    sweep = coalition_sweep(inst, pool, nets=nets, **kwargs)
+    assert any(math.isfinite(cell.cost) for cell in sweep.cells)
+    for cell in sweep.cells:
+        assert not cell.failed, cell.error
+        alone = build_table(inst, uavs[:cell.d] + adrs[:cell.r], nets=nets,
+                            **kwargs)
+        assert list(cell.table.costs) == list(alone.costs) \
+            == [s for s in alone.subsets() if s.size]
+        assert [repr(c) for c in cell.table.costs.values()] == \
+            [repr(c) for c in alone.costs.values()], (cell.d, cell.r)
+
+
+def test_pool_pricing_error_fails_every_cell():
+    inst, pool = _infeasible_corner()
+    stray = dataclasses.replace(pool.vehicles[3], start_depot=0)
+    sweep = coalition_sweep(inst, list(pool.vehicles[:3]) + [stray])
+    errors = {cell.error for cell in sweep.cells}
+    assert all(cell.failed for cell in sweep.cells) and len(errors) == 1
+    assert "depot" in errors.pop()
 
 
 @pytest.mark.parametrize("run", [build_table, coalition_sweep])
@@ -517,18 +569,18 @@ def test_sweep_logs_its_pricing(caplog):
         coalition_sweep(inst, pool, solver_choice="heuristic")
         coalition_sweep(*toy.build_toy_instance(),
                         cost_fn=lambda uavs, adrs: 1.0)
-    # 8 distinct vehicle lists priced; 3 + 7 + 7 + 15 lookups in the cells
+    # one table per sweep: 8 distinct vehicle lists priced, 15 - 8 from the memo
     assert [r.getMessage() for r in caplog.records
             if r.name == "cpdptw.coalition"] == [
-        f"coalition sweep 2x2: 2 route tables walked ({nodes} nodes, "
+        f"coalition table 2x2: 2 route tables walked ({nodes} nodes, "
         f"{dominated} partial routes dominated); joint costs: 8 by DP, 0 by a "
-        f"solver, 0 by cost_fn, 24 from the memo",
-        "coalition sweep 2x2: 0 route tables walked (0 nodes, 0 partial "
+        f"solver, 0 by cost_fn, 7 from the memo",
+        "coalition table 2x2: 0 route tables walked (0 nodes, 0 partial "
         "routes dominated); joint costs: 0 by DP, 8 by a solver, 0 by "
-        "cost_fn, 24 from the memo",
-        "coalition sweep 2x1: 0 route tables walked (0 nodes, 0 partial "
+        "cost_fn, 7 from the memo",
+        "coalition table 2x1: 0 route tables walked (0 nodes, 0 partial "
         "routes dominated); joint costs: 0 by DP, 0 by a solver, 7 by "
-        "cost_fn, 3 from the memo"]
+        "cost_fn, 0 from the memo"]
 
 
 def test_summary_names_infeasible_cells(tmp_path):

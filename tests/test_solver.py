@@ -243,8 +243,9 @@ def test_batched_moves_match_advance_per_label():
     solver._construct(ctx, "cheapest", range(inst.n_customers))
     n = inst.n_customers
     checked = composites = closed = 0
-    for kind, root in ctx.roots.items():
-        for node, prefix in _trie_nodes(root):
+    for vehicle in dict.fromkeys(fleet.vehicles):
+        k = fleet.vehicles.index(vehicle)
+        for node, prefix in _trie_nodes(ctx.roots[k]):
             labels = [(clock, batt) for _, clock, batt, _ in node.labels]
             if len(labels) < 2:
                 continue
@@ -252,26 +253,26 @@ def test_batched_moves_match_advance_per_label():
                                 + [p for p in range(n) if p not in prefix])
             fresh = [solver._make_ctx(inst, fleet, nets, east)
                      for _ in range(2)]
-            got = solver._moves(fresh[0], kind, node.pos, node.load,
+            got = solver._moves(fresh[0], k, node.pos, node.load,
                                 node.carried, labels, candidates)
             want = [(i, *move)
                     for c in candidates
                     for i, (clock, batt) in enumerate(labels)
                     for move in _advance_moves(
-                        fresh[1], kind, (node.pos, clock, batt, node.load,
-                                         node.carried), (c,))]
-            assert _bits(got) == _bits(want), (kind, prefix)
+                        fresh[1], k, (node.pos, clock, batt, node.load,
+                                      node.carried), (c,))]
+            assert _bits(got) == _bits(want), (k, prefix)
             assert fresh[0].legs._time == fresh[1].legs._time
             assert fresh[0].legs._energy == fresh[1].legs._energy
-            ends = solver._end_moves(fresh[0], kind, node.pos, node.load,
+            ends = solver._end_moves(fresh[0], k, node.pos, node.load,
                                      node.carried, labels)
             want = [(i, d, repr(dc)) for i, (clock, batt) in enumerate(labels)
                     for d, dc in _advance_end_moves(
-                        fresh[1], kind, (node.pos, clock, batt, node.load,
-                                         node.carried))]
+                        fresh[1], k, (node.pos, clock, batt, node.load,
+                                      node.carried))]
             assert [(i, d, repr(dc)) for i, d, dc in ends] == \
                 [end for d in ctx.depots for end in want if end[1] == d], \
-                (kind, prefix)
+                (k, prefix)
             checked += 1
             closed += bool(ends)
             composites += sum(move[0] is not None for _, move, _, _ in got)
@@ -358,16 +359,16 @@ def test_dominance_keeps_every_table_entry_and_plan():
         inst, fleet, nets, physics = _stress_case(*spec)
         ctx = solver._make_ctx(inst, fleet, nets, physics)
         tables = {}
-        for k, kind in enumerate(ctx.kind):
-            if kind in tables:
+        for k, vehicle in enumerate(fleet.vehicles):
+            if vehicle in tables:
                 continue
-            tables[kind] = _unpruned_route_table(ctx, k)
+            tables[vehicle] = _unpruned_route_table(ctx, k)
             table, _, dropped = solver._route_table(ctx, k)
             dominated += dropped
             assert {s: (repr(c), mv, d) for s, (c, mv, d) in table.items()} \
                 == {s: (repr(c), mv, d) for s, (c, mv, d)
-                    in tables[kind].items()}, (seed, k)
-        want = solver._partition(ctx, [tables[kind] for kind in ctx.kind],
+                    in tables[vehicle].items()}, (seed, k)
+        want = solver._partition(ctx, [tables[v] for v in fleet.vehicles],
                                  0, 0.0)
         for report in (solve_exact(inst, fleet, nets, physics),
                        solve_bnb(inst, fleet, nets, physics)):
@@ -414,10 +415,10 @@ def test_partition_reads_only_the_full_set_at_vehicle_zero():
         inst, fleet, nets, physics = _stress_case(*spec)
         ctx = solver._make_ctx(inst, fleet, nets, physics)
         tables = {}
-        for k, kind in enumerate(ctx.kind):
-            if kind not in tables:
-                tables[kind] = solver._route_table(ctx, k)[0]
-        tables = [tables[kind] for kind in ctx.kind]
+        for k, vehicle in enumerate(fleet.vehicles):
+            if vehicle not in tables:
+                tables[vehicle] = solver._route_table(ctx, k)[0]
+        tables = [tables[v] for v in fleet.vehicles]
         got = solver._partition(ctx, tables, 0, 0.0)
         want = solver._report(ctx, _full_level_partition(
             tables, inst.n_customers), 0, 0.0, True)
@@ -442,7 +443,8 @@ def test_exact_solvers_log_their_effort(caplog):
                       if r.name == "cpdptw.solver"])
     assert lines[0] == lines[1]         # deterministic counts only
     ctx = solver._make_ctx(inst, fleet, None, None)
-    walks = [solver._route_table(ctx, k) for k in sorted(set(ctx.kind))]
+    walks = [solver._route_table(ctx, fleet.vehicles.index(v))
+             for v in dict.fromkeys(fleet.vehicles)]
     nodes = sum(walk[1] for walk in walks)
     dominated = sum(walk[2] for walk in walks)
     assert dominated > 0
@@ -851,6 +853,49 @@ def test_validate_flags_route_not_anchored_at_depot():
                        for r in sol.routes]
     msgs = validate(headless, inst, fleet)
     assert any("start at a depot" in m for m in msgs)
+
+
+def _tampered(sol, k, idx, dt=0.0, battery_after=None):
+    """``sol`` with vehicle ``k``'s visit ``idx`` leaving ``dt`` minutes
+    earlier (every later visit shifted with it, so each arrival still
+    equals the previous departure plus the leg) and, when given, with
+    that visit's ``battery_after`` replaced."""
+    visits = [v if i < idx else dataclasses.replace(
+        v, arrival=v.arrival - (dt if i > idx else 0.0),
+        departure=v.departure - dt)
+        for i, v in enumerate(sol.routes[k].visits)]
+    if battery_after is not None:
+        visits[idx] = dataclasses.replace(visits[idx],
+                                          battery_after=battery_after)
+    routes = list(sol.routes)
+    routes[k] = dataclasses.replace(routes[k], visits=visits)
+    return dataclasses.replace(sol, routes=routes)
+
+
+def test_validate_replays_departures_and_battery():
+    """Skipping a pickup wait or a depot recharge, or leaving a depot with
+    less than a full battery, is flagged at the tampered visit."""
+    inst = instance.generate(4, n_depots=2, seed=3)
+    fleet = instance.default_fleet(1, 1, inst.depot_nodes()[0])
+    sol = solve_exact(inst, fleet).solution
+    assert validate(sol, inst, fleet) == []
+    adr = sol.routes[1].visits
+    waits = [i for i, v in enumerate(adr) if inst.is_pickup(v.node)
+             and v.departure - v.arrival > inst.service_time + 30.0]
+    stops = [i for i, v in enumerate(adr[1:-1], 1) if inst.is_depot(v.node)
+             and v.departure > v.arrival]
+    assert waits and stops
+    full = fleet.vehicles[1].battery
+    for idx, dt, batt, what in (
+            (waits[0], adr[waits[0]].departure - adr[waits[0]].arrival
+             - inst.service_time, None, "departure"),
+            (stops[0], adr[stops[0]].departure - adr[stops[0]].arrival,
+             None, "departure"),
+            (len(adr) - 1, 0.0, full - 0.5, "battery after")):
+        msgs = validate(_tampered(sol, 1, idx, dt, batt), inst, fleet)
+        assert msgs and msgs[0].startswith(f"vehicle 1 visit {idx}: {what} "), \
+            (idx, msgs)
+        assert not any(": arrival " in m for m in msgs), msgs
 
 
 # -- gap ----------------------------------------------------------------------------
