@@ -292,7 +292,7 @@ def cmd_gen(args):
     LOG.info("generate: seed=%d", seed)
     inst, fleet = _build_instance(scn, seed)
     _apply_cost_weights(scn, inst)
-    if fleet is None and isinstance(scn.get("fleet"), dict):
+    if fleet is None and "fleet" in scn:
         fleet = _build_fleet(scn, inst, None)
     out = _ensure_out(out_dir)
     path = out / "instance.yaml"
@@ -405,7 +405,11 @@ def cmd_coalition(args):
 
 
 def cmd_toy(args):
-    _, _, out_dir = _resolve(args)
+    scn, _, out_dir = _resolve(args)
+    unread = sorted(set(scn) - {"seed", "out"})
+    if unread:
+        raise ValueError(f"scenario {args.scenario}: toy reads only seed|out, "
+                         f"not {unread}")
     _setup_logging(out_dir)
     LOG.info("three-customer worked example")
     print(toy_mod.report())

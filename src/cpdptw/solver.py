@@ -2,27 +2,24 @@
 
 The exact solver, ``solve_exact``, rests on one fact: every vehicle starts
 fresh and no two routes interact, so the optimum is a set partition of the
-customer pairs over the vehicles' cheapest closed routes.  It walks the
-closed routes of each distinct vehicle once into a table, then partitions
-the pairs over those tables by dynamic programming.  Node and time budgets
-bind the walks and the DP; a search cut short falls back to the heuristic's
-plan, unproven.  ``solve_enumerate`` is the same search without limits,
-and the coalition sweep prices its exact joint costs with it over one
-store of route tables.  The move generator (``_moves``) takes a batch of
-labels -- the clocks and batteries of partial routes at one position with
-one load and carried set -- and looks each leg up once for the whole
-batch: the heuristic's Pareto sweep passes every label of a prefix, the
-table walk its one; ``_end_moves`` closes routes the same way.
+customer pairs over the vehicles' cheapest closed routes.  It builds a
+table of each distinct vehicle's closed routes once, level by level of
+labels, then partitions the pairs over the tables by dynamic programming.
+Node and time budgets bind both; a search cut short falls back to the
+heuristic's plan, unproven; ``solve_enumerate`` has no limits.
+The move generator (``_moves``) takes a batch of labels -- the clocks and
+batteries of partial routes at one position with one load and carried
+set -- and looks each leg up once for the batch: a route table passes the
+labels of a key, the heuristic's Pareto sweep those of a prefix.
 
-The table walk is not literally exhaustive: it skips a partial route that
-an earlier-walked one at the same position, load, carried and served sets
-provably beats for every completion (``_dominated``): no later clock, no
-less battery, and a cost lower by more than the early-waiting weight times
-the clock gap plus the recharge time the battery gap could add.  The rule
-relies on legs whose time and energy do not depend on the clock, on
-vehicles that never idle by choice, and on weights ``>= 0``.  It changes no
-table entry.  The heuristic keeps its own Pareto filter
-(``_prune_states``).  The moves are:
+A table drops a partial route that another one at the same position,
+load, carried and served sets provably beats for every completion
+(``_dominated``): no later clock, no less battery, and a cost lower by
+more than the early-waiting weight times the clock gap plus the recharge
+time the battery gap could add.  The rule relies on legs whose time and
+energy do not depend on the clock, on vehicles that never idle by choice,
+and on weights ``>= 0``.  It changes no table entry.  The heuristic keeps
+its own Pareto filter (``_prune_states``).  The moves are:
 
 * a *direct* move serves the next customer straight away;
 * a *composite* move (depot, customer) tops the battery up first — offered
@@ -62,11 +59,6 @@ _EPS = 1e-9
 
 # exact search is affordable up to this many customer nodes (2N)
 EXACT_NODE_LIMIT = 10
-
-# dominance scans only this many of the newest labels of a key: under
-# extreme weights a key can gather thousands of labels, while most hits
-# come from the newest few
-_DOMINANCE_SCAN = 8
 
 
 @dataclass
@@ -119,19 +111,15 @@ class _Ctx:
         self.w3l = w.alpha3_late
         self.depots = inst.depot_nodes()
         self.floor = [v.battery_floor * v.battery for v in fleet.vehicles]
-        # the heuristic's label trie roots, one fresh label at the home
-        # depot: vehicles with equal fields price every sequence
-        # identically, so they share one root
+        # one fresh label at the home depot, the root of the heuristic's
+        # label trie and of a route table: vehicles with equal fields
+        # price every sequence identically, so they share one root
         roots = {v: _Prefix(v.start_depot, 0.0, frozenset(),
                             [(0.0, 0.0, v.battery, None)])
                  for v in fleet.vehicles}
         self.roots = [roots[v] for v in fleet.vehicles]
         # lookups, extensions, dead hits, labels extended
         self.trie_stats = [0, 0, 0, 0]
-
-    def fresh(self, k):
-        v = self.fleet.vehicles[k]
-        return (v.start_depot, 0.0, v.battery, 0.0, frozenset())
 
 
 def _moves(ctx, k, pos, load, carried, labels, candidates):
@@ -256,25 +244,22 @@ def _end_moves(ctx, k, pos, load, carried, labels):
     for d in ctx.depots:
         e = legs.energy_kj(veh, pos, d, load, True)
         cost = None
-        i = 0               # a counter, not enumerate: this runs per walk node
-        for _, batt in labels:
+        for i, (_, batt) in enumerate(labels):
             if batt - e >= floor:
                 if cost is None:
                     cost = ctx.alpha[k] * legs.time_min(veh, pos, d, True)
                 out.append((i, d, cost))
-            i += 1
     return out
 
 
-def _dominated(store, key, cost, clock, batt, w3e, rate):
-    """True when an earlier label of ``key`` in ``store`` beats this one for
-    every completion; else the label ``(cost, clock, batt)`` is stored.
+def _dominated(label, kept, w3e, rate):
+    """True when a label of ``kept`` beats ``label`` for every completion.
 
-    ``key`` holds what the rest of a route depends on besides the clock and
-    the battery (position, float load, carried and served sets), and
-    ``w3e``/``rate`` are the early-waiting weight and the vehicle's charge
-    rate.  An earlier label A dominates this label B when ``clock_A <=
-    clock_B``, ``batt_A >= batt_B`` and
+    Labels ``(cost, clock, battery, chain)`` share a key: what the rest of
+    a route depends on besides clock and battery (position, float load,
+    carried and served sets).  ``w3e`` and ``rate`` are the early-waiting
+    weight and the charge rate.  A label A dominates a label B when
+    ``clock_A <= clock_B``, ``batt_A >= batt_B`` and
 
         cost_A + w3e * (clock_B - clock_A + (batt_A - batt_B) / rate)
             < cost_B - _EPS
@@ -294,30 +279,51 @@ def _dominated(store, key, cost, clock, batt, w3e, rate):
       rate`` minutes less (after it both batteries are full), so A's extra
       waiting over the whole completion is at most the bracket above;
     * travel is priced the same, and every weight is ``>= 0``.
-
-    Only labels stored earlier prune and a pruned label is never stored,
-    so a route-table walk (``_route_table``, one store per table) keeps its
-    order and its table, only without the subtrees of pruned labels, and
-    the DP over the tables returns the plan it would without the rule.
-    Only the newest ``_DOMINANCE_SCAN`` labels of a key are kept and
-    scanned.
     """
-    labels = store.get(key)
-    if labels is None:
-        store[key] = [(cost, clock, batt)]
-        return False
+    cost, clock, batt, _ = label
     bar = cost - _EPS
-    for cost_a, clock_a, batt_a in labels:
+    for cost_a, clock_a, batt_a, _ in kept:
         if clock_a <= clock and batt_a >= batt:
             slack = clock - clock_a
             if rate > 0:
                 slack += (batt_a - batt) / rate
             if cost_a + w3e * slack < bar:
                 return True
-    labels.append((cost, clock, batt))
-    if len(labels) > _DOMINANCE_SCAN:
-        del labels[0]
     return False
+
+
+def _undominated(labels, w3e, rate):
+    """The labels of one key that no other label of it dominates (see
+    ``_dominated``): none of them leads to a table entry, whichever label
+    dominates it.  The rule is transitive and a dominator sorts before its
+    label by ``(clock, -battery, cost)``, so each label in that order is
+    checked against the labels kept before it."""
+    if len(labels) < 2:
+        return labels
+    kept = []
+    for label in sorted(labels, key=lambda a: (a[1], -a[2], a[0])):
+        if not _dominated(label, kept, w3e, rate):
+            kept.append(label)
+    return kept
+
+
+def _unchain(chain):
+    """The move list of a parent-linked ``(move, parent)`` chain."""
+    moves = []
+    while chain is not None:
+        moves.append(chain[0])
+        chain = chain[1]
+    moves.reverse()
+    return moves
+
+
+def _order(moves, end):
+    """Sort key of the closed route ``(moves, end_depot)`` in the order a
+    depth-first walk through ``_moves`` and ``_end_moves`` meets it: by
+    customer, a direct move before composites in (ascending) depot order,
+    and a route's closing after every extension of it."""
+    return [(c, -1 if d is None else d) for d, c in moves] + \
+        [(math.inf, -1 if end is None else end)]
 
 
 def _replay(ctx, k, moves, end_depot):
@@ -325,14 +331,8 @@ def _replay(ctx, k, moves, end_depot):
     veh = ctx.fleet.vehicles[k]
     pos, clock, batt, load = veh.start_depot, 0.0, veh.battery, 0.0
     visits = [Visit(int(pos), 0.0, 0.0, batt, 0.0, batt)]
-    seq = []
-    for d, c in moves:
-        if d is not None:
-            seq.append(d)
-        seq.append(c)
-    if end_depot is not None:
-        seq.append(end_depot)
-    for node in seq:
+    seq = [node for move in moves for node in move if node is not None]
+    for node in seq + ([] if end_depot is None else [end_depot]):
         _, arrival, clock, e_arr, batt, load, _, _ = advance(
             ctx.legs, veh, pos, clock, batt, load, node)
         visits.append(Visit(int(node), arrival, clock, batt, load, e_arr))
@@ -361,13 +361,14 @@ def _make_ctx(inst, fleet, nets, physics, legs=None):
     networks and physics (``nets`` and ``physics`` are then ignored)."""
     inst.validate()
     fleet.validate(inst)
-    if legs is None:
-        if nets is None:
-            nets = build_networks(inst)
-        if physics is None:
-            physics = PhysicsConfig()
-        legs = LegCosts(inst, nets, physics)
-    return _Ctx(inst, fleet, legs)
+    return _Ctx(inst, fleet, _legs(inst, nets, physics) if legs is None
+                else legs)
+
+
+def _legs(inst, nets, physics):
+    """``LegCosts`` on ``nets`` (default: built) under ``physics``."""
+    return LegCosts(inst, build_networks(inst) if nets is None else nets,
+                    PhysicsConfig() if physics is None else physics)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +377,17 @@ def _make_ctx(inst, fleet, nets, physics, legs=None):
 
 class _Cut(Exception):
     """The exact search ran out of budget; ``args`` are the name of the
-    limit and the walk nodes expanded over all tables."""
+    limit and the labels extended over all tables."""
 
 
 class _Budget:
-    """The ``SolverLimits`` of one exact search, over all of its walks.
-
-    ``nodes`` counts the walk nodes of the tables finished so far.  A walk
-    calls ``check(n)`` once its own node count ``n`` reaches what the last
-    call returned.  ``check`` raises ``_Cut`` when the node limit is passed
-    or the time budget is spent, and else returns the walk's count at the
-    next check: the node past the limit, or the next multiple of 256 nodes
-    over all walks, where the clock is read again.
-    """
+    """The ``SolverLimits`` of one exact search.  ``nodes`` counts the
+    labels extended by the tables finished so far; a table calls
+    ``check(n)`` when its own count reaches ``n``, the value the last call
+    returned.  ``check`` raises ``_Cut`` when the node limit is passed or
+    the time budget is spent, and else returns the table's count at the
+    label past the limit or at the next multiple of 256 labels over all
+    tables, where the clock is read again."""
 
     def __init__(self, limits, t0):
         self.cap = limits.max_nodes_expanded
@@ -412,53 +411,59 @@ class _Budget:
 def _route_table(ctx, k, budget=None):
     """Every closed route of vehicle ``k``, cheapest per served pair set.
 
-    A depth-first walk from the fresh state through ``_moves``, offering
-    the carried deliveries and every pickup this route has not served, and
-    skipping a partial route that an earlier one provably beats (see
-    ``_dominated``; it would never enter the table).  Returns ``(table,
-    nodes, dominated)``: ``table`` maps the bitmask of served pairs to
-    ``(cost, moves, end_depot)``, keeping the first strictly cheaper route
-    in walk order, ``nodes`` counts the walk's nodes and ``dominated`` the
-    partial routes it skipped.  A ``budget`` (``_Budget``) is checked as
-    the nodes count up, may end the walk with ``_Cut``, and adds the
-    walk's nodes to its own count; without one the walk never checks.
+    Labels ``(cost, clock, battery, chain)`` of partial routes, ``chain``
+    the parent-linked move list, are grouped by key: position, float load,
+    carried and served sets.  A key fixes the number of visits (twice the
+    served pairs less the carried ones), so levels of equal visits are
+    built in turn and every label of a key exists before any is extended.
+    A key's undominated labels go to ``_moves`` as one batch, offered the
+    carried deliveries and unserved pickups, and to ``_end_moves``.
+    Returns ``(table, nodes, dominated)``: ``table`` maps the bitmask of
+    served pairs to ``(cost, moves, end_depot)``, the cheapest route, ties
+    going to the smaller ``_order``; ``nodes`` counts the labels extended
+    and ``dominated`` those dropped.  A ``budget`` (``_Budget``) is
+    checked per label and may end the search with ``_Cut``.
     """
     n_cust = ctx.legs.n_cust
     w3e, rate = ctx.w3e, ctx.fleet.vehicles[k].charge_rate
+    root = ctx.roots[k]
+    level = {(root.pos, root.load, root.carried, 0): root.labels}
     table = {}
-    labels = {}
     nodes = dominated = 0
     due = math.inf if budget is None else budget.check()
-
-    def walk(rs, served, cost, trail):
-        nonlocal nodes, dominated, due
-        pos, clock, batt, load, carried = rs
-        if _dominated(labels, (pos, load, carried, served), cost, clock, batt,
-                      w3e, rate):
-            dominated += 1
-            return
-        nodes += 1
-        if nodes >= due:
-            due = budget.check(nodes)
-        label = ((clock, batt),)
-        candidates = sorted([p + n_cust for p in carried]
-                            + [p for p in range(n_cust) if not served >> p & 1])
-        for _, move, rs2, dcost in _moves(ctx, k, pos, load, carried, label,
-                                          candidates):
-            c = move[1]
-            trail.append(move)
-            walk(rs2, served | (1 << c) if c < n_cust else served,
-                 cost + dcost, trail)
-            trail.pop()
-        for _, d, dcost in _end_moves(ctx, k, pos, load, carried, label):
-            total = cost + dcost
-            if served not in table or total < table[served][0]:
-                table[served] = (total, list(trail), d)
-
-    walk(ctx.fresh(k), 0, 0.0, [])
+    while level:
+        nxt = {}
+        for (pos, load, carried, served), found in level.items():
+            labels = _undominated(found, w3e, rate)
+            dominated += len(found) - len(labels)
+            nodes += len(labels)
+            while nodes >= due:
+                due = budget.check(due)
+            batch = [(clock, batt) for _, clock, batt, _ in labels]
+            candidates = sorted([p + n_cust for p in carried]
+                                + [p for p in range(n_cust)
+                                   if not served >> p & 1])
+            for i, move, rs2, dcost in _moves(ctx, k, pos, load, carried,
+                                              batch, candidates):
+                cost, _, _, chain = labels[i]
+                c, clock, batt, load2, carried2 = rs2
+                key = (c, load2, carried2,
+                       served | 1 << c if c < n_cust else served)
+                nxt.setdefault(key, []).append(
+                    (cost + dcost, clock, batt, (move, chain)))
+            for i, d, dcost in _end_moves(ctx, k, pos, load, carried, batch):
+                cost, _, _, chain = labels[i]
+                total = cost + dcost
+                old = table.get(served)
+                if old is None or total < old[0] or total == old[0] and \
+                        _order(_unchain(chain), d) < \
+                        _order(_unchain(old[1]), old[2]):
+                    table[served] = (total, chain, d)
+        level = nxt
     if budget is not None:
         budget.nodes += nodes
-    return table, nodes, dominated
+    return ({s: (cost, _unchain(chain), d)
+             for s, (cost, chain, d) in table.items()}, nodes, dominated)
 
 
 def _partition(ctx, tables, nodes, t0, budget=None):
@@ -467,12 +472,12 @@ def _partition(ctx, tables, nodes, t0, budget=None):
 
     A DP from the last vehicle to the first takes, for every pair set S, the
     cheapest split of S into a route of vehicle k and a set the later
-    vehicles serve, scanning both in insertion order with strict ``<``.
-    Vehicle 0 needs only the full pair set, so for each of its routes it
-    reads the one set that completes it.  The winning plan is replayed, so
-    its total is the simulator's episode cost.  ``nodes`` is the report's
-    work count; a ``budget`` has its clock read every 256 routes of a
-    level (see ``_Budget``).
+    vehicles serve, on a cost tie the one whose vehicle-k route has the
+    smaller ``_order``.  Vehicle 0 needs only the full pair set, so for
+    each of its routes it reads the one set that completes it.  The
+    winning plan is replayed, so its total is the simulator's episode
+    cost.  ``nodes`` is the report's work count; a ``budget`` has its
+    clock read every 256 routes of a level (see ``_Budget``).
     """
     nv = len(tables)
     full = (1 << ctx.legs.n_cust) - 1
@@ -495,7 +500,10 @@ def _partition(ctx, tables, nodes, t0, budget=None):
                     continue
                 cost = cost_t + cost_r
                 s = t | r
-                if s not in level or cost < level[s][0]:
+                old = level.get(s)
+                if old is None or cost < old[0] or cost == old[0] and \
+                        _order(*tables[k][t][1:]) < \
+                        _order(*tables[k][old[1]][1:]):
                     level[s] = (cost, t)
         levels[k] = best = level
     s = full
@@ -513,25 +521,26 @@ def _partition(ctx, tables, nodes, t0, budget=None):
 def _by_tables(ctx, limits, store):
     """Route tables plus the set-partition DP under ``limits`` (see
     ``solve_exact``).  ``store`` maps a vehicle to its ``_route_table``
-    walk on ``ctx``'s legs; only the vehicles missing from it are walked
-    (and added), and the report and DEBUG line count those walks."""
+    on ``ctx``'s legs; only the vehicles missing from it get one built
+    (and added), and the report and DEBUG line count those builds."""
     t0 = _time.perf_counter()
     budget = None if limits == SolverLimits() else _Budget(limits, t0)
-    walks = []
+    built = []
     try:
         for k, vehicle in enumerate(ctx.fleet.vehicles):
             if vehicle not in store:
                 store[vehicle] = _route_table(ctx, k, budget)
-                walks.append(store[vehicle])
-        nodes = sum(w[1] for w in walks)
-        LOG.debug("exact search: %d route tables, %d walk nodes, %d partial "
-                  "routes dominated", len(walks), nodes, sum(w[2] for w in walks))
+                built.append(store[vehicle])
+        nodes = sum(b[1] for b in built)
+        LOG.debug("exact search: %d route tables, %d labels extended, %d "
+                  "labels dominated", len(built), nodes,
+                  sum(b[2] for b in built))
         return _partition(ctx, [store[v][0] for v in ctx.fleet.vehicles],
                           nodes, t0, budget)
     except _Cut as cut:
         limit, nodes = cut.args
-        LOG.info("exact search cut short by %s after %d walk nodes: the plan "
-                 "is the heuristic's, not proven optimal", limit, nodes)
+        LOG.info("exact search cut short by %s after %d labels extended: the "
+                 "plan is the heuristic's, not proven optimal", limit, nodes)
         return _report(ctx, _heuristic_plan(ctx, 0)[0], nodes, t0, False)
 
 
@@ -541,22 +550,17 @@ def solve_exact(inst, fleet, nets=None, physics=None, limits=None):
     Every vehicle starts fresh from its depot and no two routes interact,
     so the optimum is a set partition of the customer pairs over the
     vehicles' cheapest closed routes (Balinski & Quandt 1964).  Each
-    distinct vehicle's routes are walked once into a table (see
-    ``_route_table``), and ``_partition`` picks the cheapest partition.
-    The walk is not exhaustive: it skips every partial route that an
-    earlier one at the same position, load, carried and served sets beats
-    for all completions (``_dominated``: no later, no less battery, and
-    cheaper by more than the waiting the clock and battery gaps could
-    cost).  That rule holds because legs are priced independently of the
-    clock, vehicles never idle by choice and the weights are ``>= 0``, and
-    a skipped route would never enter the table, so every table is the
-    exhaustive walk's.  ``nodes_expanded`` counts the walks' nodes, not
-    the skipped ones; vehicles with equal fields share one table.  One
-    DEBUG line on ``cpdptw.solver`` gives the tables, nodes and skips.
+    distinct vehicle's routes go once into a table, built level by level
+    of labels without the provably dominated ones (``_route_table``), and
+    ``_partition`` picks the cheapest partition; cost ties go to the route
+    a depth-first walk meets first (``_order``).  ``nodes_expanded``
+    counts the labels extended; vehicles with equal fields share one
+    table.  One DEBUG line on ``cpdptw.solver`` gives the tables and the
+    labels extended and dominated.
 
-    ``limits`` bind the search: ``max_nodes_expanded`` counts the walk
-    nodes over all tables, and the ``time_budget`` clock is read every 256
-    walk nodes and every 256 routes of a DP level.  The DP needs complete
+    ``limits`` bind the search: ``max_nodes_expanded`` counts the labels
+    extended over all tables, and the ``time_budget`` clock is read every
+    256 labels and every 256 routes of a DP level.  The DP needs complete
     tables, so a search cut short returns the heuristic's plan (seed 0,
     priced with the same leg costs) with ``proven_optimal=False``, and one
     INFO line on ``cpdptw.solver`` names the limit that cut it.
@@ -681,20 +685,13 @@ def _seq_eval(ctx, k, seq):
     stay in a trie that lives as long as ``ctx`` (one per distinct
     vehicle), so a sequence pays only for the suffix no earlier call has
     priced, and every sequence through an infeasible prefix stops at one
-    shared dead node.  Each extension hands all of a prefix's labels to
-    the move generator as one batch, so the prefix's legs are looked up
-    once, not once per label.  Returns (cost, moves, end_depot) of the
-    cheapest full realization or (inf, None, None).
+    shared dead node.  Returns (cost, moves, end_depot) of the cheapest
+    full realization or (inf, None, None).
     """
     cost, chain, end = _closed(ctx, k, _walk(ctx, k, ctx.roots[k], seq))
     if math.isinf(cost):
         return math.inf, None, None
-    moves = []
-    while chain is not None:
-        moves.append(chain[0])
-        chain = chain[1]
-    moves.reverse()
-    return cost, moves, end
+    return cost, _unchain(chain), end
 
 
 def _seq_cost(ctx, k, seq):
@@ -949,11 +946,7 @@ def _heuristic_plan(ctx, seed):
 
 def validate(sol, inst, fleet, nets=None, physics=None):
     """Replay a Solution against the instance; returns violation strings."""
-    if nets is None:
-        nets = build_networks(inst)
-    if physics is None:
-        physics = PhysicsConfig()
-    legs = LegCosts(inst, nets, physics)
+    legs = _legs(inst, nets, physics)
     out = []
     tol = 1e-6
     seen = {}

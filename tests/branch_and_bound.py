@@ -8,10 +8,10 @@ vehicle, cut by an admissible bound.  The bound adds, for every unserved
 customer node, the cheapest alpha-weighted arc that could ever enter it
 (over the vehicles still available), plus the active vehicle's cheapest
 depot return -- admissible, since every unserved node must still be
-entered once.  A partial plan that an earlier one with the same vehicle,
-position, load, carried and served sets provably beats is skipped before
-it counts as a node (``solver._dominated``), so the first minimum-cost
-plan in search order is the one returned.
+entered once.  A partial plan that one of the newest eight earlier ones
+with the same vehicle, position, load, carried and served sets provably
+beats is skipped before it counts as a node (``solver._dominated``), so
+the first minimum-cost plan in search order is the one returned.
 """
 
 import math
@@ -21,6 +21,29 @@ import numpy as np
 
 from cpdptw import solver
 
+# how many of the newest labels of a key the dominance check scans
+_DOMINANCE_SCAN = 8
+
+
+def fresh(ctx, k):
+    """The route state ``(pos, clock, battery, load, carried)`` of vehicle
+    ``k`` at the start: home depot, full battery, empty."""
+    v = ctx.fleet.vehicles[k]
+    return (v.start_depot, 0.0, v.battery, 0.0, frozenset())
+
+
+def _dominated(store, key, cost, clock, batt, w3e, rate):
+    """True when one of the newest labels of ``key`` in ``store`` beats
+    this one (``solver._dominated``); else the label is stored."""
+    label = (cost, clock, batt, None)
+    labels = store.setdefault(key, [])
+    if solver._dominated(label, labels, w3e, rate):
+        return True
+    labels.append(label)
+    if len(labels) > _DOMINANCE_SCAN:
+        del labels[0]
+    return False
+
 
 class _Search:
     def __init__(self, ctx):
@@ -29,7 +52,7 @@ class _Search:
         self.best_cost = math.inf
         self.best_plan = None
         self.nodes = 0
-        self.labels = {}        # solver._dominated's store
+        self.labels = {}        # _dominated's store
         self.t0 = time.perf_counter()
         self._prepare_bound()
 
@@ -86,14 +109,13 @@ class _Search:
         unserved = [v for v in range(ctx.legs.ncust2) if v not in served]
         if cost + self._bound(k, None, unserved) >= self.best_cost:
             return
-        self._route(k, ctx.fresh(k), served, cost, plans, [])
+        self._route(k, fresh(ctx, k), served, cost, plans, [])
 
     def _route(self, k, rs, served, cost, plans, trail):
         ctx = self.ctx
         pos, clock, batt, load, carried = rs
-        if solver._dominated(self.labels, (k, pos, load, carried, served),
-                             cost, clock, batt, ctx.w3e,
-                             ctx.fleet.vehicles[k].charge_rate):
+        if _dominated(self.labels, (k, pos, load, carried, served), cost,
+                      clock, batt, ctx.w3e, ctx.fleet.vehicles[k].charge_rate):
             return
         self.nodes += 1
         unserved = [v for v in range(ctx.legs.ncust2) if v not in served]

@@ -6,6 +6,7 @@ output directory.
 """
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -51,6 +52,21 @@ def test_toy_exits_zero_and_prints_reference_figures(capsys):
         assert figure in out
 
 
+def test_toy_rejects_scenario_keys_it_cannot_honour(tmp_path, capsys):
+    """The worked example is fixed: a scenario may give it only its seed
+    and output directory."""
+    scn = _write_scenario(tmp_path, seed=1, out=str(tmp_path / "o"),
+                          generate={"n_customers": 3},
+                          weights={"alpha1": 5.0})
+    assert cli.main(["toy", "--scenario", str(scn)]) == 1
+    err = _last_json_error(capsys)
+    assert err["error"] == "ValueError"
+    assert "['generate', 'weights']" in err["message"]
+    scn = _write_scenario(tmp_path, seed=1, out=str(tmp_path / "o"))
+    assert cli.main(["toy", "--scenario", str(scn)]) == 0
+    assert "14.08" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -70,6 +86,18 @@ def test_gen_writes_loadable_instance_and_fleet(tmp_path, capsys):
     fleet = instance.load_fleet(path)
     assert fleet is not None
     assert [v.mode for v in fleet.vehicles] == ["UAV", "ADR"]
+
+
+def test_gen_writes_a_fleet_given_as_a_file(tmp_path):
+    inst = instance.generate(n_customers=3, seed=5)
+    fleet = instance.default_fleet(1, 2, inst.depot_nodes()[0])
+    fleet.vehicles[0] = dataclasses.replace(fleet.vehicles[0], battery=4.0)
+    instance.save(inst, tmp_path / "fleet.yaml", fleet=fleet)
+    scn = _write_scenario(tmp_path, seed=5, generate={"n_customers": 3},
+                          fleet=str(tmp_path / "fleet.yaml"))
+    assert cli.main(["gen", "--scenario", str(scn),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert instance.load_fleet(tmp_path / "o" / "instance.yaml") == fleet
 
 
 def test_gen_without_scenario_uses_defaults(tmp_path):

@@ -16,7 +16,7 @@ from cpdptw.instance import Customer, Depot, FleetSpec, Instance, Vehicle
 from cpdptw.network import AdjacencySpec, build_networks
 from cpdptw.solver import (SolverLimits, gap, solve_enumerate, solve_exact,
                            solve_heuristic, validate)
-from branch_and_bound import solve_bnb
+from branch_and_bound import fresh, solve_bnb
 from conftest import make_case
 
 
@@ -303,7 +303,7 @@ def _unpruned_route_table(ctx, k):
             if served not in table or total < table[served][0]:
                 table[served] = (total, list(trail), d)
 
-    walk(ctx.fresh(k), 0, 0.0, [])
+    walk(fresh(ctx, k), 0, 0.0, [])
     return table
 
 
@@ -349,10 +349,16 @@ def _stress_case(seed, n, depots, profile, early, late, rate, battery, n_uav,
     return inst, fleet, nets, PhysicsConfig(wind=wind)
 
 
-def test_dominance_keeps_every_table_entry_and_plan():
-    """Route tables equal the unpruned walk's entry for entry, and the
-    exact solver and the branch and bound return the plan the unpruned
-    tables give, visit for visit, on a seeded grid of N = 1-4."""
+def test_dominance_keeps_every_table_entry_and_plan(monkeypatch):
+    """Route tables equal the unpruned walk's entry for entry, also with
+    the labels of every key reversed before and after its dominance
+    filter, and the exact solver and the branch and bound return the plan
+    the unpruned tables give, visit for visit, on a seeded grid of
+    N = 1-4."""
+    undominated = solver._undominated
+
+    def reversed_keys(labels, w3e, rate):
+        return undominated(labels[::-1], w3e, rate)[::-1]
     feasible = dominated = 0
     for spec in _stress_grid(150):
         seed = spec[0]
@@ -363,11 +369,16 @@ def test_dominance_keeps_every_table_entry_and_plan():
             if vehicle in tables:
                 continue
             tables[vehicle] = _unpruned_route_table(ctx, k)
+            want = {s: (repr(c), mv, d)
+                    for s, (c, mv, d) in tables[vehicle].items()}
             table, _, dropped = solver._route_table(ctx, k)
             dominated += dropped
-            assert {s: (repr(c), mv, d) for s, (c, mv, d) in table.items()} \
-                == {s: (repr(c), mv, d) for s, (c, mv, d)
-                    in tables[vehicle].items()}, (seed, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_undominated", reversed_keys)
+                flipped = solver._route_table(ctx, k)[0]
+            for got in (table, flipped):
+                assert {s: (repr(c), mv, d) for s, (c, mv, d)
+                        in got.items()} == want, (seed, k)
         want = solver._partition(ctx, [tables[v] for v in fleet.vehicles],
                                  0, 0.0)
         for report in (solve_exact(inst, fleet, nets, physics),
@@ -380,20 +391,55 @@ def test_dominance_keeps_every_table_entry_and_plan():
     assert feasible >= 75 and dominated > 0
 
 
+def test_dominance_filter_keeps_exactly_the_undominated_labels():
+    """Each key's filter keeps a label exactly when no other label of the
+    key dominates it, in any input order."""
+    rng = random.Random(0)
+    for trial in range(300):
+        w3e, rate = rng.choice((0.0, 0.1, 2.0)), rng.choice((0.0, 0.5, 2.0))
+        labels = [(rng.choice((0.0, 0.5, 1.0, 3.0, 6.0)),
+                   float(rng.randrange(4)), float(rng.randrange(1, 4)), i)
+                  for i in range(rng.randrange(1, 12))]
+        want = [a for a in labels
+                if not any(solver._dominated(a, [b], w3e, rate)
+                           for b in labels if b is not a)]
+        for order in (labels, labels[::-1]):
+            got = solver._undominated(order, w3e, rate)
+            assert sorted(got, key=lambda a: a[3]) == want, trial
+
+
+def test_closing_ties_go_to_the_earlier_clock():
+    """Two labels of one prefix that close at the same depot for the same
+    cost: the earlier clock wins, wherever it stands in the batch."""
+    inst, fleet = make_case(n=1, seed=0, n_uav=1, n_adr=0)
+    ctx = solver._make_ctx(inst, fleet, None, None)
+    batt = fleet.vehicles[0].battery
+    for late_first in (True, False):
+        labels = [(2.0, 30.0, batt, "late"), (2.0, 20.0, batt, "early")]
+        node = solver._Prefix(1, 0.0, frozenset(),
+                              labels if late_first else labels[::-1])
+        cost, chain, end = solver._closed(ctx, 0, node)
+        assert chain == "early" and end == inst.depot_nodes()[0]
+        assert cost > 2.0
+
+
 def _full_level_partition(tables, n_cust):
-    """Reference for ``solver._partition``'s plan: the same DP with vehicle
-    0's level, too, over every pair set.  Returns the plan as ``(moves,
-    end_depot)`` per vehicle, or None."""
+    """Reference for ``solver._partition``'s plan: the same DP, with its
+    tie rule, and vehicle 0's level, too, over every pair set.  Returns the
+    plan as ``(moves, end_depot)`` per vehicle, or None."""
     best = {0: (0.0, 0)}
     levels = [None] * len(tables)
     for k in reversed(range(len(tables))):
         level = {}
-        for t, (cost_t, _, _) in tables[k].items():
+        for t, (cost_t, moves, end) in tables[k].items():
             for r, (cost_r, _) in best.items():
                 if t & r:
                     continue
                 cost = cost_t + cost_r
-                if t | r not in level or cost < level[t | r][0]:
+                old = level.get(t | r)
+                if old is None or cost < old[0] or cost == old[0] and \
+                        solver._order(moves, end) < \
+                        solver._order(*tables[k][old[1]][1:]):
                     level[t | r] = (cost, t)
         levels[k] = best = level
     s = (1 << n_cust) - 1
@@ -449,8 +495,8 @@ def test_exact_solvers_log_their_effort(caplog):
     dominated = sum(walk[2] for walk in walks)
     assert dominated > 0
     assert ex.nodes_expanded == en.nodes_expanded == nodes
-    line = (f"exact search: 2 route tables, {nodes} walk nodes, "
-            f"{dominated} partial routes dominated")
+    line = (f"exact search: 2 route tables, {nodes} labels extended, "
+            f"{dominated} labels dominated")
     assert lines[0] == [line, line]
 
 
@@ -510,9 +556,9 @@ def test_node_budget_drops_optimality_proof(caplog):
     capped, info = _cut_short(caplog, inst, fleet,
                               SolverLimits(max_nodes_expanded=1))
     assert _is_heuristic_plan(capped, inst, fleet)
-    assert capped.nodes_expanded <= 2   # the node that trips the budget counts
+    assert capped.nodes_expanded <= 2   # the label that trips the budget counts
     assert info == [f"exact search cut short by max_nodes_expanded after "
-                    f"{capped.nodes_expanded} walk nodes: the plan is the "
+                    f"{capped.nodes_expanded} labels extended: the plan is the "
                     f"heuristic's, not proven optimal"]
     full = solve_exact(inst, fleet)
     assert full.proven_optimal
@@ -522,21 +568,22 @@ def test_node_budget_drops_optimality_proof(caplog):
 def test_time_budget_reads_the_clock_every_256_walk_nodes(caplog,
                                                           monkeypatch):
     """Under a clock that gains a second per reading, a 2.5 s budget holds
-    at the walk's start and at node 256, and is spent at node 512."""
-    inst, fleet = make_case(n=5, seed=0)      # its first walk has 2779 nodes
+    at the first table's start and at label 256, and is spent at label 512,
+    though its key's batch runs on to label 516."""
+    inst, fleet = make_case(n=5, seed=0)
     ticks = iter(range(1, 1000))
     monkeypatch.setattr(solver, "_time", type("Clock", (), {
         "perf_counter": staticmethod(lambda: float(next(ticks)))}))
     cut, info = _cut_short(caplog, inst, fleet, SolverLimits(time_budget=2.5))
     assert _is_heuristic_plan(cut, inst, fleet)
     assert cut.nodes_expanded == 512
-    assert info == ["exact search cut short by time_budget after 512 walk "
-                    "nodes: the plan is the heuristic's, not proven optimal"]
+    assert info == ["exact search cut short by time_budget after 512 labels "
+                    "extended: the plan is the heuristic's, not proven optimal"]
 
 
 def test_time_budget_binds_the_dp(caplog, monkeypatch):
-    """The clock jumps past the budget once the walks are done: the DP reads
-    it and falls back to the heuristic with every walk node counted."""
+    """The clock jumps past the budget once the tables are built: the DP
+    reads it and falls back to the heuristic with every label counted."""
     inst, fleet = _recipe_case(3)
     full = solve_exact(inst, fleet)
     now = [0.0]
@@ -552,7 +599,7 @@ def test_time_budget_binds_the_dp(caplog, monkeypatch):
     assert _is_heuristic_plan(cut, inst, fleet)
     assert cut.nodes_expanded == full.nodes_expanded
     assert info == [f"exact search cut short by time_budget after "
-                    f"{full.nodes_expanded} walk nodes: the plan is the "
+                    f"{full.nodes_expanded} labels extended: the plan is the "
                     f"heuristic's, not proven optimal"]
 
 
@@ -654,7 +701,7 @@ def test_heuristic_is_pinned_bit_for_bit(name):
 
 def _memo_free_sweep(ctx, k, seq):
     """Pareto sweep over ``seq`` from the depot, sharing nothing."""
-    states = [(0.0, ctx.fresh(k), [])]
+    states = [(0.0, fresh(ctx, k), [])]
     for c in seq:
         states = solver._prune_states([
             (cost + dc, rs2, moves + [move])
